@@ -1,9 +1,9 @@
 #include "checker/sc_checker.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "checker/cycle_checker.hpp"
 #include "util/assert.hpp"
@@ -79,6 +79,38 @@ ScChecker::ScChecker(const ScCheckerConfig& config) : cfg_(config) {
       pending_bottom_[b][p] = kNone;
     }
   }
+}
+
+ScChecker& ScChecker::operator=(const ScChecker& other) {
+  if (this == &other) return *this;
+  cfg_ = other.cfg_;
+  rules_ = other.rules_;
+  for (std::uint64_t m = other.used_mask_; m != 0; m &= m - 1) {
+    const auto s = static_cast<std::size_t>(std::countr_zero(m));
+    nodes_[s] = other.nodes_[s];
+  }
+  used_mask_ = other.used_mask_;
+  std::memcpy(proc_live_, other.proc_live_, sizeof proc_live_);
+  std::memcpy(id_slot_, other.id_slot_, sizeof id_slot_);
+  std::memcpy(last_op_, other.last_op_, sizeof last_op_);
+  std::memcpy(last_op_live_, other.last_op_live_, sizeof last_op_live_);
+  std::memcpy(po_pending_, other.po_pending_, sizeof po_pending_);
+  std::memcpy(po_expected_from_, other.po_expected_from_,
+              sizeof po_expected_from_);
+  std::memcpy(last_st_, other.last_st_, sizeof last_st_);
+  std::memcpy(last_st_live_, other.last_st_live_, sizeof last_st_live_);
+  std::memcpy(st_pending_, other.st_pending_, sizeof st_pending_);
+  std::memcpy(st_expected_from_, other.st_expected_from_,
+              sizeof st_expected_from_);
+  std::memcpy(root_ref_, other.root_ref_, sizeof root_ref_);
+  std::memcpy(root_retired_, other.root_retired_, sizeof root_retired_);
+  std::memcpy(retired_no_in_, other.retired_no_in_, sizeof retired_no_in_);
+  std::memcpy(retired_no_out_, other.retired_no_out_, sizeof retired_no_out_);
+  std::memcpy(pending_bottom_, other.pending_bottom_, sizeof pending_bottom_);
+  rejected_ = other.rejected_;
+  touched_ = other.touched_;
+  reason_ = other.reason_;
+  return *this;
 }
 
 std::size_t ScChecker::active_nodes() const noexcept {
@@ -170,7 +202,7 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
     // forced-edge triples can no longer form, so the loads are released.
     for (std::size_t p = 0; p < cfg_.procs; ++p) {
       const std::int8_t j = n.pending_ld[p];
-      if (j != kNone && nodes_[j].in_use) {
+      if (j != kNone && live(static_cast<std::size_t>(j))) {
         nodes_[j].pending_for = kNone;
         if (n.sto_succ == kNone) nodes_[j].forced_target = kNone;
       }
@@ -224,11 +256,13 @@ ScChecker::Status ScChecker::retire(std::size_t s) {
     }
   }
 
+  // The record itself is left as stale bytes: clearing the mask bit frees
+  // the slot, and on_node rebuilds the record on reuse.
   used_mask_ &= ~self;
+  --proc_live_[n.op.proc];
   for (std::uint64_t ids = n.id_set; ids != 0; ids &= ids - 1) {
     id_slot_[std::countr_zero(ids)] = kNone;
   }
-  n = Node{};
   return Status::Ok;
 }
 
@@ -262,8 +296,8 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
   SCV_ASSERT(s >= 0);
   Node& n = nodes_[s];
   n = Node{};
-  n.in_use = true;
   used_mask_ |= 1ULL << static_cast<std::size_t>(s);
+  ++proc_live_[op.proc];
   n.op = op;
   n.id_set = 1ULL << nd.id;
   id_slot_[nd.id] = static_cast<std::int8_t>(s);
@@ -320,7 +354,7 @@ ScChecker::Status ScChecker::on_node(const NodeDesc& nd) {
                     "(constraint 5b)");
     }
     const std::int8_t old = pending_bottom_[b][p];
-    if (old != kNone && nodes_[old].in_use) {
+    if (old != kNone && live(static_cast<std::size_t>(old))) {
       nodes_[old].bottom_pending = false;  // discharged via program order
     }
     pending_bottom_[b][p] = static_cast<std::int8_t>(s);
@@ -392,7 +426,7 @@ ScChecker::Status ScChecker::check_sto_edge(std::size_t from,
   for (std::size_t p = 0; p < cfg_.procs; ++p) {
     const std::int8_t j = x.pending_ld[p];
     if (j == kNone) continue;
-    SCV_ASSERT(nodes_[j].in_use);
+    SCV_ASSERT(live(static_cast<std::size_t>(j)));
     if (nodes_[j].forced_out & (1ULL << to)) {
       nodes_[j].pending_for = kNone;
       x.pending_ld[p] = kNone;
@@ -430,7 +464,7 @@ ScChecker::Status ScChecker::check_inh_edge(std::size_t from,
 
   const ProcId p = y.op.proc;
   const std::int8_t old = x.pending_ld[p];
-  if (old != kNone && nodes_[old].in_use) {
+  if (old != kNone && live(static_cast<std::size_t>(old))) {
     // Condition (ii): a program-order-later load of the same processor now
     // inherits from x, discharging the older load's obligation.
     nodes_[old].forced_target = kNone;
@@ -461,7 +495,8 @@ ScChecker::Status ScChecker::check_forced_edge(std::size_t from,
   j.forced_out |= 1ULL << to;
   if (j.forced_target == static_cast<std::int8_t>(to)) {
     j.forced_target = kNone;
-    if (j.pending_for != kNone && nodes_[j.pending_for].in_use) {
+    if (j.pending_for != kNone &&
+        live(static_cast<std::size_t>(j.pending_for))) {
       Node& x = nodes_[j.pending_for];
       if (x.pending_ld[j.op.proc] == static_cast<std::int8_t>(from)) {
         x.pending_ld[j.op.proc] = kNone;
@@ -610,14 +645,12 @@ void ScChecker::serialize_canonical(ByteWriter& w,
 
   // Map each active slot to the canonical number of the observer node whose
   // IDs it holds, then emit everything in canonical order with renamed
-  // references.
-  struct Pair {
-    std::uint16_t canon;
-    std::uint8_t slot;
-  };
-  Pair order[kMaxSlots];
-  std::size_t count = 0;
-  std::uint8_t slot_canon[kMaxSlots] = {};  // slot -> 1-based canonical pos
+  // references.  Canonical numbers are distinct and below 64 (at most
+  // kMaxBandwidth observer nodes), so slots are placed by number into a
+  // presence mask and read back in ascending order — no sort.  A slot's
+  // encoded name is its rank among the live slots.
+  std::uint64_t present = 0;
+  std::uint8_t slot_at[64];  // canonical number -> slot (where present)
   std::uint64_t um = used_mask_;
   while (um != 0) {
     const auto s = static_cast<std::size_t>(std::countr_zero(um));
@@ -625,14 +658,21 @@ void ScChecker::serialize_canonical(ByteWriter& w,
     SCV_ASSERT(nodes_[s].id_set != 0);
     const auto id =
         static_cast<std::size_t>(std::countr_zero(nodes_[s].id_set));
-    SCV_ASSERT(id < id_canon.size() && id_canon[id] != 0);
-    order[count++] = Pair{id_canon[id], static_cast<std::uint8_t>(s)};
+    SCV_ASSERT(id < id_canon.size() && id_canon[id] != 0 &&
+               id_canon[id] < 64);
+    const std::uint64_t bit = 1ULL << id_canon[id];
+    SCV_ASSERT((present & bit) == 0);
+    present |= bit;
+    slot_at[id_canon[id]] = static_cast<std::uint8_t>(s);
   }
-  std::sort(order, order + count,
-            [](const Pair& a, const Pair& b) { return a.canon < b.canon; });
-  for (std::size_t i = 0; i < count; ++i) {
-    SCV_ASSERT(i == 0 || order[i].canon != order[i - 1].canon);
-    slot_canon[order[i].slot] = static_cast<std::uint8_t>(i + 1);
+  const auto count = static_cast<std::size_t>(std::popcount(present));
+  std::uint8_t order[kMaxSlots];            // rank -> slot
+  std::uint8_t slot_canon[kMaxSlots] = {};  // slot -> 1-based rank
+  std::size_t rank = 0;
+  for (std::uint64_t m = present; m != 0; m &= m - 1) {
+    const std::uint8_t s = slot_at[std::countr_zero(m)];
+    order[rank] = s;
+    slot_canon[s] = static_cast<std::uint8_t>(++rank);
   }
   const auto enc = [&](std::int8_t slot) -> std::uint64_t {
     if (slot == kNone) return 0;
@@ -676,7 +716,7 @@ void ScChecker::serialize_canonical(ByteWriter& w,
   }
   sw.uvar(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const Node& n = nodes_[order[i].slot];
+    const Node& n = nodes_[order[i]];
     // Operation labels and ID bindings are redundant with the observer's
     // canonical record; the structural adjacency and obligation fields are
     // the checker-specific state.
@@ -752,11 +792,15 @@ void ScChecker::serialize(ByteWriter& w) const {
       sw.u8(static_cast<std::uint8_t>(pending_bottom_[b][p]));
     }
   }
-  for (const Node& n : nodes_) {
-    if (!n.in_use) {
-      sw.u8(0);
-      continue;
-    }
+  // One zero byte per free slot, a record per live one: runs of free slots
+  // between live ones are written in bulk, so the per-node work follows the
+  // live mask.
+  std::size_t next = 0;  // first slot not yet written
+  for (std::uint64_t m = used_mask_; m != 0; m &= m - 1) {
+    const auto s = static_cast<std::size_t>(std::countr_zero(m));
+    sw.zeros(s - next);
+    next = s + 1;
+    const Node& n = nodes_[s];
     sw.u8(1);
     sw.u8(static_cast<std::uint8_t>(n.op.kind));
     sw.u8(n.op.proc);
@@ -777,6 +821,7 @@ void ScChecker::serialize(ByteWriter& w) const {
     }
     sw.u64(n.forced_out);
   }
+  sw.zeros(kMaxSlots - next);
   sw.flush(w);
 }
 
@@ -812,36 +857,53 @@ void ScChecker::restore(ByteReader& r) {
       pending_bottom_[b][p] = i8();
     }
   }
+  // Free slots are one zero byte each and keep their stale records; a live
+  // slot's fixed-size record is decoded straight out of the buffer, writing
+  // every field any reader consults (pending_ld beyond cfg_.procs is never
+  // read).
   used_mask_ = 0;
-  for (std::size_t i = 0; i < kMaxSlots; ++i) id_slot_[i] = kNone;
+  std::memset(proc_live_, 0, sizeof proc_live_);
+  std::memset(id_slot_, static_cast<std::uint8_t>(kNone), sizeof id_slot_);
+  const std::size_t procs = cfg_.procs;
+  SCV_ASSERT(procs <= kMaxProcs);  // also bounds the pending_ld copy below
+  const std::size_t record = 33 + procs;
+  const auto le64 = [](const std::uint8_t* p) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    return v;
+  };
   for (std::size_t s = 0; s < kMaxSlots; ++s) {
-    Node& n = nodes_[s];
-    n = Node{};
-    n.in_use = r.u8() != 0;
-    if (!n.in_use) continue;
+    if (r.u8() == 0) continue;
+    const std::uint8_t* b = r.view(record).data();
     used_mask_ |= 1ULL << s;
-    n.op.kind = static_cast<OpKind>(r.u8());
-    n.op.proc = r.u8();
-    n.op.block = r.u8();
-    n.op.value = r.u8();
-    n.id_set = r.u64();
+    Node& n = nodes_[s];
+    n.op.kind = static_cast<OpKind>(b[0]);
+    n.op.proc = b[1];
+    n.op.block = b[2];
+    n.op.value = b[3];
+    ++proc_live_[n.op.proc];
+    n.id_set = le64(b + 4);
     for (std::uint64_t ids = n.id_set; ids != 0; ids &= ids - 1) {
       id_slot_[std::countr_zero(ids)] = static_cast<std::int8_t>(s);
     }
-    n.out = r.u64();
-    const std::uint8_t f = r.u8();
+    n.out = le64(b + 12);
+    const std::uint8_t f = b[20];
     n.po_in = (f & 1) != 0;
     n.po_out = (f & 2) != 0;
     n.sto_in = (f & 4) != 0;
     n.sto_out = (f & 8) != 0;
     n.inh_in = (f & 16) != 0;
     n.bottom_pending = (f & 32) != 0;
-    n.sto_succ = i8();
-    n.inh_src = i8();
-    n.forced_target = i8();
-    n.pending_for = i8();
-    for (std::size_t p = 0; p < cfg_.procs; ++p) n.pending_ld[p] = i8();
-    n.forced_out = r.u64();
+    n.sto_succ = static_cast<std::int8_t>(b[21]);
+    n.inh_src = static_cast<std::int8_t>(b[22]);
+    n.forced_target = static_cast<std::int8_t>(b[23]);
+    n.pending_for = static_cast<std::int8_t>(b[24]);
+    for (std::size_t p = 0; p < procs; ++p) {
+      n.pending_ld[p] = static_cast<std::int8_t>(b[25 + p]);
+    }
+    n.forced_out = le64(b + 25 + procs);
   }
   touched_ = ~0u;  // arbitrary new state: no step to be relative to
 }
@@ -1032,6 +1094,14 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
     }
   }
 
+  {
+    std::uint8_t counts[kMaxProcs];
+    for (std::size_t p = 0; p < cfg_.procs; ++p) {
+      counts[perm.to[p]] = proc_live_[p];
+    }
+    std::memcpy(proc_live_, counts, cfg_.procs);
+  }
+
   std::uint64_t pm = used_mask_;
   while (pm != 0) {
     Node& n = nodes_[static_cast<std::size_t>(std::countr_zero(pm))];
@@ -1046,22 +1116,27 @@ void ScChecker::permute_procs(const ProcPerm& perm) {
 }
 
 void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
+  // Encoded into stack scratch and bulk-appended (see serialize()).  Bound:
+  // kMaxBlocks chain records of <= 4 bytes, a 3-byte store-tail record,
+  // one byte per block row and the live-count uvar.
+  std::uint8_t scratch[4 * kMaxBlocks + 3 + kMaxBlocks + 2];
+  ScratchWriter sw(scratch, sizeof scratch);
   const auto write_chain = [&](std::size_t c) {
     const std::int8_t s = last_op_[c];
     if (s == kNone) {
-      w.u8(0);
+      sw.u8(0);
       return;
     }
     std::uint8_t flags = 1;
     if (last_op_live_[c]) flags |= 2;
     if (po_pending_[c]) flags |= 4;
     if (po_expected_from_[c] != kNone) flags |= 8;
-    w.u8(flags);
-    if (last_op_live_[c] && nodes_[static_cast<std::size_t>(s)].in_use) {
+    sw.u8(flags);
+    if (last_op_live_[c] && live(static_cast<std::size_t>(s))) {
       const Node& n = nodes_[static_cast<std::size_t>(s)];
-      w.u8(static_cast<std::uint8_t>(n.op.kind));
-      w.u8(n.op.block);
-      w.u8(n.op.value);
+      sw.u8(static_cast<std::uint8_t>(n.op.kind));
+      sw.u8(n.op.block);
+      sw.u8(n.op.value);
     }
   };
   if (rules().per_block_chains) {
@@ -1074,31 +1149,25 @@ void ScChecker::proc_signature(ProcId p, ByteWriter& w) const {
   if (rules().store_chain) {  // store-tail record, TSO only
     const std::int8_t s = last_st_[p];
     if (s == kNone) {
-      w.u8(0);
+      sw.u8(0);
     } else {
       std::uint8_t flags = 1;
       if (last_st_live_[p]) flags |= 2;
       if (st_pending_[p]) flags |= 4;
       if (st_expected_from_[p] != kNone) flags |= 8;
-      w.u8(flags);
-      if (last_st_live_[p] && nodes_[static_cast<std::size_t>(s)].in_use) {
+      sw.u8(flags);
+      if (last_st_live_[p] && live(static_cast<std::size_t>(s))) {
         const Node& n = nodes_[static_cast<std::size_t>(s)];
-        w.u8(n.op.block);
-        w.u8(n.op.value);
+        sw.u8(n.op.block);
+        sw.u8(n.op.value);
       }
     }
   }
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    w.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
+    sw.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
   }
-  std::uint32_t mine = 0;
-  std::uint64_t cm = used_mask_;
-  while (cm != 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(std::countr_zero(cm))];
-    cm &= cm - 1;
-    if (n.op.proc == p) ++mine;
-  }
-  w.uvar(mine);
+  sw.uvar(proc_live_[p]);
+  sw.flush(w);
 }
 
 std::uint32_t ScChecker::obligation_procs() const noexcept {

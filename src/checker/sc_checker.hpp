@@ -90,6 +90,14 @@ class ScChecker {
 
   explicit ScChecker(const ScCheckerConfig& config);
 
+  /// Copy-assignment moves the live nodes only (DESIGN.md §13): free slots
+  /// of the destination keep whatever stale bytes they held, which no read
+  /// path consults — used_mask_ is the only source of liveness.  The model
+  /// checker copies one checker per explored transition, and a graph holds
+  /// a handful of live nodes out of kMaxSlots.
+  ScChecker(const ScChecker&) = default;
+  ScChecker& operator=(const ScChecker& other);
+
   /// Consumes one observer symbol; once rejected, stays rejected.
   Status feed(const Symbol& sym);
 
@@ -134,6 +142,8 @@ class ScChecker {
   /// Neither allocates when the caller reuses the ByteWriter (clear() keeps
   /// capacity) — the service snapshots checkers on every quarantine window
   /// rotation, so this path must stay allocation-free in steady state.
+  /// Both do per-node work for live slots only; a free slot is one zero
+  /// byte on the wire and is left untouched by restore().
   void snapshot(ByteWriter& w) const { serialize(w); }
   void restore(ByteReader& r);
 
@@ -195,7 +205,6 @@ class ScChecker {
   static constexpr std::int8_t kGone = -2;
 
   struct Node {
-    bool in_use = false;
     Operation op{};
     std::uint64_t id_set = 0;
     std::uint64_t out = 0;  ///< adjacency over slots, for cycle checking
@@ -240,11 +249,18 @@ class ScChecker {
   ModelRules rules_;
   [[nodiscard]] const ModelRules& rules() const noexcept { return rules_; }
   Node nodes_[kMaxSlots];
-  /// Bit s set <=> nodes_[s].in_use.  The graph holds a handful of live
-  /// nodes out of up to 64 slots, so the hot scans (canonical
-  /// serialization, per-processor signatures) walk this mask's set bits
-  /// instead of touching all kMaxSlots Node records.
+  /// Bit s set <=> slot s holds a live node.  The only source of liveness:
+  /// a free slot's Node record may hold the stale bytes of a retired node
+  /// (or of whatever a copy-assignment left there), and every reader tests
+  /// this mask before touching a record.  The graph holds a handful of live
+  /// nodes out of up to 64 slots, so copy, snapshot, restore and the
+  /// canonical scans walk the mask's set bits only.
   std::uint64_t used_mask_ = 0;
+  [[nodiscard]] bool live(std::size_t s) const noexcept {
+    return ((used_mask_ >> s) & 1) != 0;
+  }
+  /// Live nodes per processor (op.proc), for proc_signature.
+  std::uint8_t proc_live_[kMaxProcs] = {};
   /// Flat ID → slot map: id_slot_[id] is the slot whose id_set holds `id`,
   /// kNone if unbound.  Every edge symbol resolves two IDs, so slot_of is
   /// the hottest lookup in the per-symbol path; the flat map makes it one

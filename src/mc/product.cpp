@@ -148,7 +148,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     *applied = ProcPerm::identity(std::min(procs_, ProcPerm::kMax));
   }
   if (!active_) {
-    p.key(ks);
+    (void)p.key(ks);  // the key is read back from ks
     return 1;
   }
 
@@ -261,7 +261,7 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
     const ProcPerm pi = perm_from_pos();
     p.permute_procs(pi);
     if (applied != nullptr) *applied = pi;
-    p.key(ks);
+    (void)p.key(ks);  // the key is read back from ks
     return factorial_;
   }
 
@@ -281,7 +281,9 @@ std::uint64_t ProcCanonicalizer::canonicalize_key(Product& p, KeyScratch& ks,
   const auto consider = [&](std::span<const std::uint8_t> key,
                             const ProcPerm& pi) {
     const std::size_t n = std::min(best_.size(), key.size());
-    const int c = first ? -1 : std::memcmp(key.data(), best_.data(), n);
+    // n == 0 skips memcmp: empty keys may have null data().
+    const int c =
+        first ? -1 : (n == 0 ? 0 : std::memcmp(key.data(), best_.data(), n));
     const bool less = c < 0 || (c == 0 && key.size() < best_.size());
     if (less) {
       best_.assign(key.begin(), key.end());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "util/assert.hpp"
 
@@ -66,6 +67,36 @@ Observer::Observer(const Protocol& protocol, ObserverConfig config)
   nodes_.assign(pool_count_, Node{});
 }
 
+Observer& Observer::operator=(const Observer& other) {
+  if (this == &other) return *this;
+  protocol_ = other.protocol_;
+  cfg_ = other.cfg_;
+  k_ = other.k_;
+  pool_base_ = other.pool_base_;
+  pool_count_ = other.pool_count_;
+  pool_free_ = other.pool_free_;
+  tracker_ = other.tracker_;
+  real_time_order_ = other.real_time_order_;
+  rules_ = other.rules_;
+  nodes_.resize(other.nodes_.size());
+  for (std::uint64_t m = other.live_mask(); m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    nodes_[i] = other.nodes_[i];
+  }
+  std::memcpy(last_op_, other.last_op_, sizeof last_op_);
+  std::memcpy(last_st_, other.last_st_, sizeof last_st_);
+  std::memcpy(sto_tail_, other.sto_tail_, sizeof sto_tail_);
+  std::memcpy(root_, other.root_, sizeof root_);
+  std::memcpy(root_gone_, other.root_gone_, sizeof root_gone_);
+  std::memcpy(pending_bottom_, other.pending_bottom_, sizeof pending_bottom_);
+  std::memcpy(proc_live_, other.proc_live_, sizeof proc_live_);
+  peak_live_ = other.peak_live_;
+  touched_ = other.touched_;
+  error_ = other.error_;
+  // permute_scratch_ is empty outside permute_procs: nothing to carry.
+  return *this;
+}
+
 ObserverStatus Observer::fail(ObserverStatus status, std::string message) {
   if (error_.empty()) error_ = std::move(message);
   return status;
@@ -86,9 +117,7 @@ void Observer::free_pool_id(GraphId id) {
 }
 
 std::size_t Observer::live_nodes() const noexcept {
-  std::size_t n = 0;
-  for (const Node& node : nodes_) n += node.in_use ? 1 : 0;
-  return n;
+  return static_cast<std::size_t>(std::popcount(live_mask()));
 }
 
 NodeHandle Observer::emit_op_node(const Operation& op,
@@ -98,9 +127,9 @@ NodeHandle Observer::emit_op_node(const Operation& op,
   const auto h = static_cast<NodeHandle>(id - pool_base_ + 1);
   Node& n = node(h);
   n = Node{};
-  n.in_use = true;
   n.op = op;
   n.pool_id = id;
+  ++proc_live_[op.proc];
   mark_touched(op.proc);  // new chain head + live-node count
   out.push_back(NodeDesc{id, op});
 
@@ -351,18 +380,21 @@ void Observer::retire(NodeHandle h, std::vector<Symbol>& out) {
     SCV_ASSERT(sto_tail_[b] != h);
     SCV_ASSERT(!rules().store_chain || last_st_[n.op.proc] != h);
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& m = nodes_[i];
-    if (!m.in_use || &m == &n) continue;
-    if (m.sto_succ == h) m.sto_succ = kGoneSucc;
-    if (m.sto_pred == h) m.sto_pred = kNone;
-    for (auto& pl : m.pending_ld) {
-      if (pl == h) pl = kNone;
+  const std::size_t procs = protocol_->params().procs;
+  for (std::uint64_t m = live_mask() & ~(1ULL << (h - 1)); m != 0;
+       m &= m - 1) {
+    Node& o = nodes_[static_cast<std::size_t>(std::countr_zero(m))];
+    if (o.sto_succ == h) o.sto_succ = kGoneSucc;
+    if (o.sto_pred == h) o.sto_pred = kNone;
+    for (std::size_t p = 0; p < procs; ++p) {
+      if (o.pending_ld[p] == h) o.pending_ld[p] = kNone;
     }
-    if (m.pending_for == h) m.pending_for = kNone;
+    if (o.pending_for == h) o.pending_for = kNone;
   }
+  // Freeing the pool ID frees the node; its record stays as stale bytes
+  // until emit_op_node rebuilds it.
+  --proc_live_[n.op.proc];
   free_pool_id(n.pool_id);
-  n = Node{};
 }
 
 void Observer::retire_pass(std::span<const std::uint8_t> post_state,
@@ -372,12 +404,13 @@ void Observer::retire_pass(std::span<const std::uint8_t> post_state,
     bottom_loadable[b] =
         protocol_->could_load_bottom(post_state, static_cast<BlockId>(b));
   }
+  // Each sweep visits the nodes live at its start in handle order; a
+  // retirement frees only the retired node, so no later visit is stale.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].in_use) continue;
-      const auto h = static_cast<NodeHandle>(i + 1);
+    for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+      const auto h = static_cast<NodeHandle>(std::countr_zero(m) + 1);
       if (!must_hold(h, bottom_loadable)) {
         retire(h, out);
         changed = true;
@@ -555,37 +588,53 @@ std::size_t Observer::state_bytes() const {
 
 void Observer::snapshot(ByteWriter& w) const {
   const auto& pr = protocol_->params();
-  tracker_.serialize(w);
-  w.u64(pool_free_);
-  w.uvar(peak_live_);
-  for (std::size_t c = 0; c < chain_count(); ++c) w.uvar(last_op_[c]);
+  // Encoded into stack scratch and bulk-appended, like serialize().  Bound:
+  // handles, counts and pool IDs are uvars of <= 5 bytes (kGoneSucc
+  // included), the peak count <= 10; a free node is one byte and a live
+  // node's record <= 30 + 5 per processor bytes.
+  std::uint8_t scratch[5 * kMaxLocations + 8 + 10 +
+                       5 * (kMaxObsProcs * kMaxObsBlocks + kMaxObsProcs) +
+                       kMaxObsBlocks * (11 + 5 * kMaxObsProcs) +
+                       kMaxBandwidth * (30 + 5 * kMaxObsProcs)];
+  ScratchWriter sw(scratch, sizeof scratch);
+  tracker_.serialize(sw);
+  sw.u64(pool_free_);
+  sw.uvar(peak_live_);
+  for (std::size_t c = 0; c < chain_count(); ++c) sw.uvar(last_op_[c]);
   if (rules().store_chain) {  // TSO only: SC encoding stays byte-stable
-    for (std::size_t p = 0; p < pr.procs; ++p) w.uvar(last_st_[p]);
+    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(last_st_[p]);
   }
   for (std::size_t b = 0; b < pr.blocks; ++b) {
-    w.uvar(sto_tail_[b]);
-    w.uvar(root_[b]);
-    w.u8(root_gone_[b] ? 1 : 0);
+    sw.uvar(sto_tail_[b]);
+    sw.uvar(root_[b]);
+    sw.u8(root_gone_[b] ? 1 : 0);
     for (std::size_t p = 0; p < pr.procs; ++p) {
-      w.uvar(pending_bottom_[b][p]);
+      sw.uvar(pending_bottom_[b][p]);
     }
   }
-  for (const Node& n : nodes_) {
-    w.u8(n.in_use ? 1 : 0);
-    if (!n.in_use) continue;
-    w.u8(static_cast<std::uint8_t>(n.op.kind));
-    w.u8(n.op.proc);
-    w.u8(n.op.block);
-    w.u8(n.op.value);
-    w.uvar(n.pool_id);
-    w.uvar(n.copies);
-    w.u8(n.serialized ? 1 : 0);
-    w.uvar(n.sto_succ);
-    w.uvar(n.sto_pred);
-    for (std::size_t p = 0; p < pr.procs; ++p) w.uvar(n.pending_ld[p]);
-    w.uvar(n.pending_for);
-    w.u8(n.bottom_pending ? 1 : 0);
+  // One zero byte per free node, a record per live one.
+  std::size_t next = 0;  // first node not yet written
+  for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    sw.zeros(i - next);
+    next = i + 1;
+    const Node& n = nodes_[i];
+    sw.u8(1);
+    sw.u8(static_cast<std::uint8_t>(n.op.kind));
+    sw.u8(n.op.proc);
+    sw.u8(n.op.block);
+    sw.u8(n.op.value);
+    sw.uvar(n.pool_id);
+    sw.uvar(n.copies);
+    sw.u8(n.serialized ? 1 : 0);
+    sw.uvar(n.sto_succ);
+    sw.uvar(n.sto_pred);
+    for (std::size_t p = 0; p < pr.procs; ++p) sw.uvar(n.pending_ld[p]);
+    sw.uvar(n.pending_for);
+    sw.u8(n.bottom_pending ? 1 : 0);
   }
+  sw.zeros(nodes_.size() - next);
+  sw.flush(w);
 }
 
 void Observer::permute_procs(const ProcPerm& perm) {
@@ -637,8 +686,15 @@ void Observer::permute_procs(const ProcPerm& perm) {
 
   // Node operations take the renamed processor; handles, pool IDs and the
   // free mask stay put so the descriptor-ID assignment is unchanged.
-  for (Node& n : nodes_) {
-    if (!n.in_use) continue;
+  {
+    std::uint8_t counts[kMaxObsProcs] = {};
+    for (std::size_t p = 0; p < pr.procs; ++p) {
+      counts[perm.to[p]] = proc_live_[p];
+    }
+    std::memcpy(proc_live_, counts, pr.procs);
+  }
+  for (std::uint64_t m = live_mask(); m != 0; m &= m - 1) {
+    Node& n = nodes_[static_cast<std::size_t>(std::countr_zero(m))];
     n.op.proc = perm(n.op.proc);
     NodeHandle pl[kMaxObsProcs] = {};
     for (std::size_t p = 0; p < pr.procs; ++p) {
@@ -650,20 +706,25 @@ void Observer::permute_procs(const ProcPerm& perm) {
 
 void Observer::proc_signature(ProcId p, ByteWriter& w) const {
   const auto& pr = protocol_->params();
+  // Encoded into stack scratch and bulk-appended.  Bound: kMaxObsBlocks
+  // chain records of <= 11 bytes, a 4-byte store-tail record, one byte per
+  // block row and the live-count uvar.
+  std::uint8_t scratch[11 * kMaxObsBlocks + 4 + kMaxObsBlocks + 2];
+  ScratchWriter sw(scratch, sizeof scratch);
   const auto write_chain = [&](std::size_t c) {
     const NodeHandle h = last_op_[c];
     if (h == kNone) {
-      w.u8(0);
+      sw.u8(0);
       return;
     }
     const Node& n = node(h);
-    w.u8(1);
-    w.u8(static_cast<std::uint8_t>(n.op.kind));
-    w.u8(n.op.block);
-    w.u8(n.op.value);
-    w.u8(n.serialized ? 1 : 0);
-    w.u8(n.bottom_pending ? 1 : 0);
-    w.uvar(n.copies);
+    sw.u8(1);
+    sw.u8(static_cast<std::uint8_t>(n.op.kind));
+    sw.u8(n.op.block);
+    sw.u8(n.op.value);
+    sw.u8(n.serialized ? 1 : 0);
+    sw.u8(n.bottom_pending ? 1 : 0);
+    sw.uvar(n.copies);
   };
   if (rules().per_block_chains) {
     for (std::size_t b = 0; b < pr.blocks; ++b) {
@@ -675,23 +736,20 @@ void Observer::proc_signature(ProcId p, ByteWriter& w) const {
   if (rules().store_chain) {  // store-tail record, TSO only
     const NodeHandle h = last_st_[p];
     if (h == kNone) {
-      w.u8(0);
+      sw.u8(0);
     } else {
       const Node& n = node(h);
-      w.u8(1);
-      w.u8(n.op.block);
-      w.u8(n.op.value);
-      w.u8(n.serialized ? 1 : 0);
+      sw.u8(1);
+      sw.u8(n.op.block);
+      sw.u8(n.op.value);
+      sw.u8(n.serialized ? 1 : 0);
     }
   }
   for (std::size_t b = 0; b < pr.blocks; ++b) {
-    w.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
+    sw.u8(pending_bottom_[b][p] != kNone ? 1 : 0);
   }
-  std::uint32_t mine = 0;
-  for (const Node& n : nodes_) {
-    if (n.in_use && n.op.proc == p) ++mine;
-  }
-  w.uvar(mine);
+  sw.uvar(proc_live_[p]);
+  sw.flush(w);
 }
 
 void Observer::restore(ByteReader& r) {
@@ -715,12 +773,15 @@ void Observer::restore(ByteReader& r) {
       pending_bottom_[b][p] = static_cast<NodeHandle>(r.uvar());
     }
   }
+  // Free nodes are one zero byte each and keep their stale records; a live
+  // node's record overwrites every field any reader consults (pending_ld
+  // beyond the processor count is never read).
+  std::memset(proc_live_, 0, sizeof proc_live_);
   for (Node& n : nodes_) {
-    n = Node{};
-    n.in_use = r.u8() != 0;
-    if (!n.in_use) continue;
+    if (r.u8() == 0) continue;
     n.op.kind = static_cast<OpKind>(r.u8());
     n.op.proc = r.u8();
+    ++proc_live_[n.op.proc];
     n.op.block = r.u8();
     n.op.value = r.u8();
     n.pool_id = static_cast<GraphId>(r.uvar());

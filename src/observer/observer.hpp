@@ -89,8 +89,11 @@ class Observer {
 
   explicit Observer(const Protocol& protocol, ObserverConfig config = {});
 
+  /// Copy-assignment moves the live nodes only (DESIGN.md §13): free pool
+  /// nodes of the destination keep stale bytes, which no read path consults
+  /// — the pool free mask is the only source of liveness.
   Observer(const Observer&) = default;
-  Observer& operator=(const Observer&) = default;
+  Observer& operator=(const Observer& other);
 
   /// Recommended node-ID pool size for a protocol: the Section 4.4
   /// bandwidth accounting L + pb plus program-order/ST-order tails.
@@ -157,6 +160,8 @@ class Observer {
   /// purpose — restore() of a snapshot reproduces the observer bit-for-bit,
   /// which is what the model checker's compact frontier needs.  Only valid
   /// between two observers constructed over the same protocol and config.
+  /// Per-node work covers live nodes only: a free node is one zero byte on
+  /// the wire and is left untouched by restore().
   void snapshot(ByteWriter& w) const;
   void restore(ByteReader& r);
 
@@ -191,7 +196,6 @@ class Observer {
   static constexpr NodeHandle kGoneSucc = ~0u;
 
   struct Node {
-    bool in_use = false;
     Operation op{};
     GraphId pool_id = kNoId;
     std::uint32_t copies = 0;  ///< locations currently tracking this store
@@ -246,7 +250,15 @@ class Observer {
   std::size_t k_ = 0;            ///< descriptor bandwidth (IDs 1..k+1)
   GraphId pool_base_ = 1;        ///< first pool ID (L+1 in mirrored mode)
   std::size_t pool_count_ = 0;
-  std::uint64_t pool_free_ = 0;  ///< bit i set => pool ID pool_base_+i free
+  /// Bit i set => pool ID pool_base_+i free.  The only source of node
+  /// liveness (node handle i+1 is live iff bit i is clear): a free node's
+  /// record may hold stale bytes, and every scan walks live_mask().
+  std::uint64_t pool_free_ = 0;
+  [[nodiscard]] std::uint64_t live_mask() const noexcept {
+    return ~pool_free_ & ((1ULL << pool_count_) - 1);  // pool_count_ <= 62
+  }
+  /// Live nodes per processor (op.proc), for proc_signature.
+  std::uint8_t proc_live_[kMaxObsProcs] = {};
 
   StIndexTracker tracker_;
   bool real_time_order_ = true;

@@ -121,6 +121,14 @@ void GetSharedToy::proc_signature(std::span<const std::uint8_t> state,
   w.bytes(state.subspan(2 * p * slots_, 2 * slots_));
 }
 
+std::uint32_t GetSharedToy::touched_procs(
+    std::span<const std::uint8_t> /*state*/, const Transition& t) const {
+  const Action& a = t.action;
+  if (a.kind == Action::Kind::Load) return 0;
+  if (a.kind == Action::Kind::Store) return 1u << a.op.proc;
+  return 1u << a.arg0;  // Get-Shared(Q,B) fills a slot of Q
+}
+
 std::string GetSharedToy::action_name(const Action& a) const {
   if (a.is_memory_op()) return Protocol::action_name(a);
   std::ostringstream os;

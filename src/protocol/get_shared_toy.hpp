@@ -45,6 +45,10 @@ class GetSharedToy final : public Protocol {
                                       const ProcPerm& perm) const override;
   void proc_signature(std::span<const std::uint8_t> state, ProcId p,
                       ByteWriter& w) const override;
+  /// Loads touch nothing; a ST and a Get-Shared write one slot of the
+  /// issuing (resp. receiving) processor.
+  [[nodiscard]] std::uint32_t touched_procs(
+      std::span<const std::uint8_t> state, const Transition& t) const override;
 
   /// Enabled with the conservative base-class declarations: LD/ST carry
   /// copies or overwrite shared slots, and Get-Shared reads a remote slot,

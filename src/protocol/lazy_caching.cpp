@@ -259,6 +259,15 @@ void LazyCaching::proc_signature(std::span<const std::uint8_t> state,
   w.bytes(state.subspan(iq_off(p), 1 + 3 * in_depth_));
 }
 
+std::uint32_t LazyCaching::touched_procs(
+    std::span<const std::uint8_t> /*state*/, const Transition& t) const {
+  const Action& a = t.action;
+  if (a.kind == Action::Kind::Load) return 0;
+  if (a.kind == Action::Kind::Store) return 1u << a.op.proc;  // out-queue
+  if (a.internal_id == kMemWrite) return ~0u;  // lands in every in-queue
+  return 1u << a.arg0;  // MR appends to, CU pops, the processor's in-queue
+}
+
 std::string LazyCaching::action_name(const Action& a) const {
   if (a.is_memory_op()) return Protocol::action_name(a);
   std::ostringstream os;

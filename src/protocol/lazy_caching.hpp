@@ -60,6 +60,10 @@ class LazyCaching final : public Protocol {
                                       const ProcPerm& perm) const override;
   void proc_signature(std::span<const std::uint8_t> state, ProcId p,
                       ByteWriter& w) const override;
+  /// Loads touch nothing; W, MR and CU touch their processor's rows; MW
+  /// broadcasts into every in-queue and touches every processor.
+  [[nodiscard]] std::uint32_t touched_procs(
+      std::span<const std::uint8_t> state, const Transition& t) const override;
 
   /// POR stays off: MW broadcasts into every processor's in-queue and CU/MR
   /// chain through shared FIFO slots, so the honest independence relation is

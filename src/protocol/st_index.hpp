@@ -76,7 +76,8 @@ class StIndexTracker {
     std::copy(index.begin(), index.end(), index_.begin());
   }
 
-  void serialize(ByteWriter& w) const {
+  /// Into the observer's snapshot scratch (ByteWriter's uvar encoding).
+  void serialize(ScratchWriter& w) const {
     for (std::uint32_t h : index_) w.uvar(h);
   }
 

@@ -150,6 +150,14 @@ void WriteBuffer::proc_signature(std::span<const std::uint8_t> state,
   w.bytes(state.subspan(proc_base(p), 1 + 2 * depth_));
 }
 
+std::uint32_t WriteBuffer::touched_procs(
+    std::span<const std::uint8_t> /*state*/, const Transition& t) const {
+  const Action& a = t.action;
+  if (a.kind == Action::Kind::Load) return 0;
+  if (a.kind == Action::Kind::Store) return 1u << a.op.proc;
+  return 1u << a.arg0;  // Drain(P) pops P's buffer into shared memory
+}
+
 std::string WriteBuffer::action_name(const Action& a) const {
   if (a.is_memory_op()) return Protocol::action_name(a);
   std::ostringstream os;

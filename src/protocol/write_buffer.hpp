@@ -64,6 +64,10 @@ class WriteBuffer : public Protocol {
                                       const ProcPerm& perm) const override;
   void proc_signature(std::span<const std::uint8_t> state, ProcId p,
                       ByteWriter& w) const override;
+  /// Loads touch nothing; a ST and a Drain touch only their processor's
+  /// buffer (the memory words are not part of any signature).
+  [[nodiscard]] std::uint32_t touched_procs(
+      std::span<const std::uint8_t> state, const Transition& t) const override;
 
   /// POR stays off for the write-buffer family.  All three variants are SC
   /// violators (or coherence-only), and their recorded counterexamples are

@@ -213,7 +213,10 @@ bool parse_trace_header(TryReader& r, RunTrace& trace, std::uint64_t& nsteps,
 }
 
 bool parse_trace_step(TryReader& r, RunStep& step, std::string& error) {
-  step = RunStep{};
+  // Decodes in place: the caller's action string and symbol vector keep
+  // their capacity, so a reader reusing one RunStep allocates nothing per
+  // step in steady state.
+  step.symbols.clear();
   const auto fail = [&](const char* what) {
     error = what;
     return false;
@@ -223,9 +226,9 @@ bool parse_trace_step(TryReader& r, RunStep& step, std::string& error) {
   if (nsyms > r.remaining()) return fail("symbol count exceeds buffer");
   step.symbols.reserve(static_cast<std::size_t>(nsyms));
   for (std::uint64_t s = 0; s < nsyms; ++s) {
-    Symbol sym;
-    if (!read_symbol(r, sym)) return fail("malformed symbol");
-    step.symbols.push_back(sym);
+    if (!read_symbol(r, step.symbols.emplace_back())) {
+      return fail("malformed symbol");
+    }
   }
   return true;
 }

@@ -57,4 +57,8 @@ void SymbolStatsSink::on_symbol(const Symbol& sym) {
   }
 }
 
+void SymbolStatsSink::on_batch(std::span<const Symbol> syms) {
+  for (const Symbol& sym : syms) SymbolStatsSink::on_symbol(sym);
+}
+
 }  // namespace scv

@@ -84,6 +84,8 @@ class SymbolStatsSink final : public SymbolSink {
 
   void begin_step(std::string_view /*action*/) override { ++stats_.steps; }
   void on_symbol(const Symbol& sym) override;
+  /// One virtual call per batch; the per-symbol count inlines.
+  void on_batch(std::span<const Symbol> syms) override;
 
   [[nodiscard]] const SymbolStats& stats() const noexcept { return stats_; }
 

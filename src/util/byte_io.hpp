@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,6 +90,13 @@ class ScratchWriter {
     for (int i = 0; i < 8; ++i) {
       *p_++ = static_cast<std::uint8_t>(v >> (8 * i));
     }
+  }
+
+  /// `n` zero bytes (a run of empty slots in a fixed-slot snapshot).
+  void zeros(std::size_t n) {
+    SCV_EXPECTS(n <= static_cast<std::size_t>(end_ - p_));
+    std::memset(p_, 0, n);
+    p_ += n;
   }
 
   /// Same LEB128 encoding as ByteWriter::uvar.

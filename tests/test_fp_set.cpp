@@ -41,6 +41,85 @@ TEST(Fingerprint, SensitiveToContentAndLength) {
   EXPECT_NE(fa.hi, fb.hi);
 }
 
+// The stripe hash has separate paths for whole 32-byte stripes, whole tail
+// words and the partial last word; lengths 0..96 cover every combination
+// (no stripe, one to three stripes, each with 0..3 tail words and 0..7
+// tail bytes).
+std::vector<std::uint8_t> pattern_bytes(std::size_t len, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    v[i] = static_cast<std::uint8_t>(mix64(seed + i));
+  }
+  return v;
+}
+
+TEST(Fingerprint, EveryLengthIsDeterministicAndDistinct) {
+  // Patterned keys, and all-zero keys that only their length separates.
+  std::vector<Fingerprint> seen;
+  for (std::size_t len = 0; len <= 96; ++len) {
+    const auto bytes = pattern_bytes(len, 7);
+    const std::vector<std::uint8_t> zeros(len, 0);
+    for (const Fingerprint fp :
+         {fingerprint128(bytes), fingerprint128(zeros)}) {
+      EXPECT_FALSE(fp.is_zero()) << len;
+      for (const Fingerprint& other : seen) {
+        EXPECT_NE(fp.lo, other.lo) << len;
+        EXPECT_NE(fp.hi, other.hi) << len;
+      }
+      if (len > 0) seen.push_back(fp);  // the two empty keys coincide
+    }
+    EXPECT_EQ(fingerprint128(bytes), fingerprint128(pattern_bytes(len, 7)))
+        << len;
+  }
+}
+
+TEST(Fingerprint, SingleBitFlipChangesBothHalves) {
+  for (std::size_t len = 1; len <= 96; ++len) {
+    const auto base = pattern_bytes(len, 11);
+    const Fingerprint fb = fingerprint128(base);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = base;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        const Fingerprint ff = fingerprint128(flipped);
+        EXPECT_NE(ff.lo, fb.lo) << len << " byte " << i << " bit " << bit;
+        EXPECT_NE(ff.hi, fb.hi) << len << " byte " << i << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(Fingerprint, PrefixAndExtensionDiffer) {
+  const auto full = pattern_bytes(96, 13);
+  const std::vector<std::uint8_t> zeros(96, 0);
+  for (std::size_t len = 0; len < 96; ++len) {
+    const std::span<const std::uint8_t> prefix(full.data(), len);
+    for (std::size_t ext = len + 1; ext <= 96; ++ext) {
+      EXPECT_NE(fingerprint128(prefix),
+                fingerprint128(std::span(full.data(), ext)))
+          << len << " vs " << ext;
+      // Zero-padding is the case a tail fold could miss.
+      EXPECT_NE(fingerprint128(std::span(zeros.data(), len)),
+                fingerprint128(std::span(zeros.data(), ext)))
+          << len << " vs " << ext << " (zeros)";
+    }
+  }
+}
+
+TEST(Fingerprint, NeverReturnsTheEmptySlotSentinel) {
+  Xoshiro256 rng(99);
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    const auto bytes = pattern_bytes(rng.below(97), rng());
+    EXPECT_FALSE(fingerprint128(bytes).is_zero());
+  }
+  for (std::size_t len = 0; len <= 96; ++len) {
+    EXPECT_FALSE(
+        fingerprint128(std::vector<std::uint8_t>(len, 0)).is_zero());
+    EXPECT_FALSE(
+        fingerprint128(std::vector<std::uint8_t>(len, 0xff)).is_zero());
+  }
+}
+
 TEST(FingerprintSet, InsertContainsAndGrowth) {
   FingerprintSet set;
   const std::size_t n = 200'000;  // forces many doublings from 64 slots

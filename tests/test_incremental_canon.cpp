@@ -45,9 +45,11 @@ std::vector<std::uint8_t> signature_of(const Product& p, ProcId q) {
 // signature byte-identical to the base state's (the soundness contract the
 // signature cache depends on).
 // Returns the number of successors compared (so callers can assert the
-// walk did real work and did not dead-end immediately).
+// walk did real work and did not dead-end immediately) and adds to `clean`
+// the number of successors with at least one clean dirty bit (so callers
+// can assert the incremental path actually engaged).
 std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
-                              std::size_t max_bases) {
+                              std::size_t max_bases, std::size_t& clean) {
   const ObserverConfig ocfg;
   Product cur(proto, ocfg, /*with_observer=*/true);
   Product succ_inc(proto, ocfg, /*with_observer=*/true);
@@ -77,6 +79,8 @@ std::size_t differential_walk(const Protocol& proto, std::uint64_t seed,
       if (succ_inc.step(ts[i], syms) != StepOutcome::Ok) continue;
       ok.push_back(i);
       const std::uint32_t dirty = succ_inc.touched_procs();
+      const std::uint32_t all = (1u << procs) - 1;
+      if ((dirty & all) != all) ++clean;
 
       // Dirty-mask contract: clear bit => signature unchanged vs the base.
       for (ProcId q = 0; q < procs; ++q) {
@@ -117,12 +121,19 @@ TEST(IncrementalCanon, DifferentialAlongRandomWalks) {
   for (const RegisteredProtocol& entry : protocol_registry()) {
     const auto proto = entry.make();
     std::size_t compared = 0;
+    std::size_t clean = 0;
     for (std::uint64_t seed : {0x5cu, 0xc0ffeeu}) {
-      compared += differential_walk(*proto, seed, /*max_bases=*/60);
+      compared += differential_walk(*proto, seed, /*max_bases=*/60, clean);
     }
     // Both walks together must have exercised a real slice of the product
     // (a protocol whose walk dead-ends immediately would vacuously pass).
     EXPECT_GE(compared, 100u) << entry.id;
+    // Every processor-symmetric protocol declares touched masks precise
+    // enough that some successor leaves a processor clean; an all-ones
+    // mask everywhere would silently disable the signature cache.
+    if (proto->processor_symmetric()) {
+      EXPECT_GT(clean, 0u) << entry.id << ": every successor fully dirty";
+    }
   }
 }
 

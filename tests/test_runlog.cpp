@@ -72,6 +72,32 @@ TEST(RunTraceFormat, VerdictNames) {
 
 // Untrusted input: every structural corruption must come back as an error
 // string, never an abort or a garbage trace.
+TEST(RunTraceFormat, StepDecodeReusesTheCallersBuffers) {
+  // The streaming reader decodes every step into one caller-owned RunStep;
+  // a decode keeps that step's capacity instead of reallocating per step.
+  const RunTrace original = sample_trace();
+  ByteWriter w;
+  serialize_run_trace(original, w);
+  RunStep step;
+  for (int pass = 0; pass < 2; ++pass) {
+    TryReader r(w.data());
+    RunTrace header;
+    std::uint64_t nsteps = 0;
+    std::string error;
+    ASSERT_TRUE(parse_trace_header(r, header, nsteps, error)) << error;
+    ASSERT_EQ(nsteps, 2u);
+    for (const RunStep& want : original.steps) {
+      ASSERT_TRUE(parse_trace_step(r, step, error)) << error;
+      EXPECT_EQ(step, want);
+      // The second step (3 symbols) sized the vector on the first pass; the
+      // 1-symbol first step of the second pass decodes into that capacity.
+      if (pass == 1) {
+        EXPECT_GE(step.symbols.capacity(), 3u);
+      }
+    }
+  }
+}
+
 TEST(RunTraceFormat, ParsingIsTotalOnCorruptInput) {
   ByteWriter w;
   serialize_run_trace(sample_trace(), w);
@@ -263,6 +289,26 @@ TEST(Sinks, StatsSinkCountsKindsAndTracksBoundIds) {
   EXPECT_EQ(s.symbols(), 8u);
   EXPECT_EQ(s.peak_bound_ids, 3u);  // {1,2,3} before the retirement
   EXPECT_NE(s.summary().find("steps=2"), std::string::npos);
+}
+
+TEST(Sinks, StatsSinkBatchMatchesPerSymbol) {
+  MsiBus proto(2, 2, 1);
+  RecordWalkOptions opt;
+  opt.steps = 200;
+  opt.seed = 7;
+  const RunTrace trace = record_walk(proto, opt);
+  const auto null_id = static_cast<GraphId>(trace.checker.k + 1);
+  SymbolStatsSink one(null_id);
+  SymbolStatsSink batch(null_id);
+  for (const RunStep& step : trace.steps) {
+    one.begin_step(step.action);
+    for (const Symbol& sym : step.symbols) one.on_symbol(sym);
+    batch.begin_step(step.action);
+    batch.on_batch(step.symbols);
+  }
+  EXPECT_GT(one.stats().symbols(), 0u);
+  EXPECT_EQ(batch.stats().summary(), one.stats().summary());
+  EXPECT_EQ(batch.stats().peak_bound_ids, one.stats().peak_bound_ids);
 }
 
 TEST(Sinks, StatsMergeAddsCountersAndMaxesPeaks) {
