@@ -7,11 +7,10 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/footprint_infer.hpp"
 #include "analysis/lint.hpp"
@@ -95,61 +94,81 @@ std::size_t exact_store_bytes(std::size_t keys, std::size_t buckets,
   return keys * (node + heap + sizeof(void*)) + buckets * sizeof(void*);
 }
 
-/// Thread-safe visited-state store: a CAS-based ConcurrentFingerprintSet by
-/// default, or mutex-striped exact key maps behind McOptions::exact_states
-/// (the differential escape hatch values correctness over scalability;
-/// stripes keep contention tolerable).  The single-worker run uses the same
-/// store — uncontended CAS is cheap, and one store means one growth policy
-/// and bit-identical dedup across thread counts.
+/// The visited-state store: a ConcurrentFingerprintSet by default, or exact
+/// key maps behind McOptions::exact_states (the differential escape hatch
+/// values correctness over speed).  Both modes split their states into the
+/// same partitions, the fingerprint set's shards.  The BFS only reads the
+/// store while a level expands and only inserts at the level barrier, each
+/// partition from one worker, so neither mode takes a lock, and growth
+/// happens in place, by the partition's writer.
 ///
-/// Exact mode additionally hands out a (shard, slot) reference for every
-/// inserted key: the shard is implied by the fingerprint, the slot indexes
-/// a per-shard directory of node-stable key pointers.  Worker-local
+/// Exact mode additionally hands out a (partition, slot) reference for every
+/// stored key: the partition is implied by the fingerprint, the slot indexes
+/// a per-partition directory of node-stable key pointers.  Worker-local
 /// duplicate caches remember {fingerprint, slot} of confirmed members and
 /// later validate a cache hit with one byte-compare (confirm()) instead of
 /// a full hash-map probe — the exact-mode analogue of the fingerprint
 /// cache's membership-is-identity shortcut.
 class ConcurrentStateStore {
  public:
-  using Insert = ConcurrentFingerprintSet::Insert;
-  struct InsertResult {
-    Insert verdict = Insert::Fresh;
-    std::uint32_t slot = 0;  ///< exact mode: shard-local slot of the key
+  static constexpr std::size_t kPartitions = ConcurrentFingerprintSet::kShards;
+  struct Found {
+    bool member = false;
+    std::uint32_t slot = 0;  ///< exact mode: partition-local slot of the key
   };
 
   ConcurrentStateStore(bool exact, std::size_t expected)
       : exact_(exact), fps_(exact ? 0 : expected) {}
 
-  InsertResult insert(std::span<const std::uint8_t> key, Fingerprint fp) {
-    if (!exact_) return {fps_.insert(fp), 0};
-    Stripe& s = stripes_[fp.lo % kStripes];
-    std::lock_guard lock(s.mu);
-    const auto [it, fresh] = s.keys.emplace(
-        std::string(reinterpret_cast<const char*>(key.data()), key.size()),
-        static_cast<std::uint32_t>(s.slots.size()));
-    if (fresh) s.slots.push_back(&it->first);
-    return {fresh ? Insert::Fresh : Insert::Duplicate, it->second};
+  [[nodiscard]] static std::size_t partition(Fingerprint fp) noexcept {
+    return ConcurrentFingerprintSet::shard_index(fp);
   }
 
-  /// Exact-mode cache validation: true iff `slot` of `fp`'s shard holds
-  /// exactly `key`.  True certifies membership (the caller may report
-  /// Duplicate without re-probing the map); false only means the cache
-  /// entry was a fingerprint alias — fall back to a full insert().
+  /// Membership.  Safe concurrently with other reads, not with insert().
+  [[nodiscard]] Found find(std::span<const std::uint8_t> key,
+                           Fingerprint fp) const {
+    if (!exact_) return {fps_.contains(fp), 0};
+    const Stripe& s = stripes_[partition(fp)];
+    const auto it = s.keys.find(as_view(key));
+    if (it == s.keys.end()) return {};
+    return {true, it->second};
+  }
+
+  /// Stores the state; true iff it was not stored yet.  At most one thread
+  /// may insert into a partition at a time, and nobody may read it then.
+  bool insert(std::span<const std::uint8_t> key, Fingerprint fp) {
+    if (!exact_) {
+      for (;;) {
+        const auto r = fps_.insert(fp);
+        if (r != ConcurrentFingerprintSet::Insert::TableFull) {
+          return r == ConcurrentFingerprintSet::Insert::Fresh;
+        }
+        fps_.grow_shard_of(fp);
+      }
+    }
+    Stripe& s = stripes_[partition(fp)];
+    const auto [it, fresh] = s.keys.emplace(
+        std::string(as_view(key)), static_cast<std::uint32_t>(s.slots.size()));
+    if (fresh) s.slots.push_back(&it->first);
+    return fresh;
+  }
+
+  /// Exact-mode cache validation: true iff `slot` of `fp`'s partition holds
+  /// exactly `key`.  True certifies membership (the caller may report a
+  /// duplicate without re-probing the map); false only means the cache
+  /// entry was a fingerprint alias — fall back to find().
   [[nodiscard]] bool confirm(std::span<const std::uint8_t> key,
-                             Fingerprint fp, std::uint32_t slot) {
-    Stripe& s = stripes_[fp.lo % kStripes];
-    std::lock_guard lock(s.mu);
+                             Fingerprint fp, std::uint32_t slot) const {
+    const Stripe& s = stripes_[partition(fp)];
     if (slot >= s.slots.size()) return false;
-    const std::string& k = *s.slots[slot];
-    return k.size() == key.size() &&
-           std::memcmp(k.data(), key.data(), k.size()) == 0;
+    return *s.slots[slot] == as_view(key);
   }
 
   [[nodiscard]] bool should_grow() const noexcept {
     return !exact_ && fps_.should_grow();
   }
-  /// Requires quiescence (no concurrent insert); the BFS calls it between
-  /// run_on_all barriers.
+  /// Requires quiescence (no concurrent access); the BFS calls it between
+  /// levels.
   void grow() {
     if (!exact_) fps_.grow();
   }
@@ -173,18 +192,28 @@ class ConcurrentStateStore {
   }
 
  private:
+  static std::string_view as_view(std::span<const std::uint8_t> key) {
+    return {reinterpret_cast<const char*>(key.data()), key.size()};
+  }
+  /// Heterogeneous lookup: find() probes with a view of the scratch key
+  /// instead of building a std::string per successor.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const noexcept {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
   struct Stripe {
-    std::mutex mu;
-    /// Key -> shard-local slot; map nodes are stable, so the slot
+    /// Key -> partition-local slot; map nodes are stable, so the slot
     /// directory can hold pointers straight into the keys.
-    std::unordered_map<std::string, std::uint32_t> keys;
+    std::unordered_map<std::string, std::uint32_t, KeyHash, std::equal_to<>>
+        keys;
     std::vector<const std::string*> slots;
   };
-  static constexpr std::size_t kStripes = 64;
 
   bool exact_;
   ConcurrentFingerprintSet fps_;
-  std::array<Stripe, kStripes> stripes_;
+  std::array<Stripe, kPartitions> stripes_;
 };
 
 void fill_store_stats(McResult& result, const ConcurrentStateStore& store) {
@@ -196,31 +225,27 @@ void fill_store_stats(McResult& result, const ConcurrentStateStore& store) {
                        static_cast<double>(slots);
 }
 
-/// Chunked, append-only arena of per-state Meta records, indexed by the
-/// atomic global state counter.  Workers call slot() concurrently: chunk
-/// pointers never move once allocated, and the chunk directory grows
-/// copy-on-write under a mutex, published with release/acquire.  Retired
-/// directories are kept alive (graveyard) so a concurrent slot() still
-/// holding the old pointer dereferences valid memory; the happens-before
-/// edge through chunks_published_ guarantees it only indexes chunks that
-/// directory already contained.
+/// Append-only per-state Meta records, indexed by state number, in chunks
+/// that never move (no reallocation copy of the whole arena as it grows).
+/// Written only at level barriers, by the thread that runs the BFS.
 class MetaArena {
  public:
-  MetaArena() { grow_to(0); }
+  MetaArena() { push({}); }  // state 0, the initial state, has no parent
 
-  /// Thread-safe: returns the record for `idx`, allocating on demand.
-  Meta& slot(std::size_t idx) {
-    const std::size_t c = idx >> kChunkShift;
-    if (c >= chunks_published_.load(std::memory_order_acquire)) grow_to(c);
-    return dir_.load(std::memory_order_acquire)[c][idx & kChunkMask];
+  /// Number of stored states.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  void push(const Meta& m) {
+    if ((size_ & kChunkMask) == 0) {
+      chunks_.push_back(std::make_unique<Meta[]>(kChunkMask + 1));
+    }
+    chunks_.back()[size_ & kChunkMask] = m;
+    ++size_;
   }
 
-  /// Read access for counterexample reconstruction; callers run after a
-  /// barrier, so every claimed slot is fully written.
   const Meta& operator[](std::size_t idx) const {
-    const std::size_t c = idx >> kChunkShift;
-    SCV_EXPECTS(c < chunks_published_.load(std::memory_order_acquire));
-    return dir_.load(std::memory_order_acquire)[c][idx & kChunkMask];
+    SCV_EXPECTS(idx < size_);
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
   }
 
  private:
@@ -228,40 +253,17 @@ class MetaArena {
   static constexpr std::size_t kChunkMask =
       (std::size_t{1} << kChunkShift) - 1;
 
-  void grow_to(std::size_t chunk) {
-    std::lock_guard lock(mu_);
-    while (chunks_.size() <= chunk) {
-      if (chunks_.size() == dir_cap_) {
-        const std::size_t cap = std::max<std::size_t>(dir_cap_ * 2, 16);
-        auto next = std::make_unique<Meta*[]>(cap);
-        for (std::size_t i = 0; i < chunks_.size(); ++i) {
-          next[i] = chunks_[i].get();
-        }
-        dir_.store(next.get(), std::memory_order_release);
-        dirs_.push_back(std::move(next));
-        dir_cap_ = cap;
-      }
-      chunks_.push_back(
-          std::make_unique<Meta[]>(std::size_t{1} << kChunkShift));
-      dir_.load(std::memory_order_relaxed)[chunks_.size() - 1] =
-          chunks_.back().get();
-      chunks_published_.store(chunks_.size(), std::memory_order_release);
-    }
-  }
-
-  std::mutex mu_;
   std::vector<std::unique_ptr<Meta[]>> chunks_;
-  std::vector<std::unique_ptr<Meta*[]>> dirs_;  ///< last live, rest graveyard
-  std::atomic<Meta**> dir_{nullptr};
-  std::size_t dir_cap_ = 0;
-  std::atomic<std::size_t> chunks_published_{0};
+  std::size_t size_ = 0;
 };
 
 /// One worker's slice of a BFS level as flat serialized entries:
 /// [u32 global index][product snapshot], delimited by an offsets array.
 /// This is the compact frontier: a level lives as two flat buffers per
 /// worker (the one being read and the one being written) instead of a
-/// heavyweight object graph per state.
+/// heavyweight object graph per state.  Entries are written before their
+/// state has a number; the level barrier fills the index in
+/// (set_entry_index).
 struct FrontierBatch {
   std::vector<std::uint8_t> bytes;
   std::vector<std::uint32_t> offsets;
@@ -278,6 +280,19 @@ struct FrontierBatch {
     bytes.clear();
     offsets.clear();
   }
+  /// Overwrites entry i's leading index (ByteWriter::u32's little-endian).
+  void set_entry_index(std::size_t i, std::uint32_t idx) noexcept {
+    for (std::size_t k = 0; k < 4; ++k) {
+      bytes[offsets[i] + k] = static_cast<std::uint8_t>(idx >> (8 * k));
+    }
+  }
+};
+
+/// Where a frontier entry lives: which worker's batch, which entry in it.
+/// A level's frontier is the list of these in expansion order.
+struct EntryRef {
+  std::uint32_t batch = 0;
+  std::uint32_t entry = 0;
 };
 
 /// Scheduling context carried per state under a bounded-preemption model
@@ -723,704 +738,903 @@ bool product_por_ok(const Protocol& proto, const McOptions& opt,
 }
 
 /// In-engine ample cross-validation cadence: one sampled state per this
-/// many reduced expansions per worker.  Each sample costs ~|ample| * |T|
-/// product steps, so the cadence keeps the overhead in the low percent.
+/// many reduced expansions.  Each sample costs ~|ample| * |T| product
+/// steps, so the cadence keeps the overhead in the low percent.
 constexpr std::uint64_t kPorSampleEvery = 4096;
 
-// The exploration engine — one level-synchronized BFS for every thread
-// count, driving the uniform Product through the compact frontier:
-//
-//   * a shared concurrent visited store — workers deduplicate successors
-//     *during* expansion;
-//   * dedup-before-materialize — every successor is stepped into reused
-//     per-worker scratch, fingerprinted, and only *fresh* states are
-//     serialized into the worker's next-level batch (duplicates, the
-//     majority, allocate nothing);
-//   * a compact frontier — levels live as flat serialized buffers; the
-//     product is rebuilt on expansion via the component snapshot loop;
-//   * a chunked MetaArena indexed by the atomic state counter.
-//
-// `threads == 1` runs the identical code inline on the calling thread (the
-// pool spawns no workers), so sequential/parallel parity — same BFS depth,
-// same state set, shortest counterexamples — holds because it is literally
-// the same engine, not a maintained invariant between two.
-//
-// Failure determinism: with several workers, *which* failing transition is
-// captured first is a race, which would make the reported counterexample
-// (and any recorded run trace) vary run to run.  On a failure verdict the
-// multi-worker run therefore discards its partial result and delegates to
-// a single-worker re-run, whose deterministic expansion order yields the
-// canonical counterexample — still depth-minimal, since level synchrony
-// means no failure exists below the failing level.  Failures are the cold
-// path; re-exploring for a deterministic artifact is the right trade
-// (DESIGN.md §11).
-//
-// When the fingerprint table fills mid-level, workers abort at entry
-// granularity (their resume cursor stays on the unfinished entry), the
-// table grows single-threaded at the barrier, and expansion resumes:
-// re-expanding the interrupted entry is safe because its already-claimed
-// successors were batched immediately and now dedup to Duplicate, and its
-// transition count is only committed once the entry completes.
-McResult run_bfs(const Protocol& proto, const McOptions& opt,  // NOLINT
-                 const PorOracle& oracle) {
-  const std::size_t nworkers = opt.threads;
-  McResult result;
-  const auto t0 = std::chrono::steady_clock::now();
-  // One worker needs no OS threads: the pool runs the task inline.
-  ThreadPool pool(nworkers == 1 ? 0 : nworkers, opt.pin_threads);
-  const bool product = !opt.protocol_only;
-  // Bounded preemption (see McOptions::observer): thread the scheduling
-  // context through keys and frontier entries, prune over-budget
-  // transitions.  model_check already strips symmetry and POR under it;
-  // the gates here keep run_bfs sound even if called with a raw option set.
-  const MemoryModel model = opt.observer.effective_model();
-  const bool preempt = model.bounded_preemption();
-  // POR engages only against the full product: invisibility (C2) is defined
-  // relative to the observer/checker pipeline, which protocol_only drops.
-  const bool por = opt.partial_order_reduction && product && !preempt &&
-                   AmpleSelector(proto, oracle, true).active();
+/// Phase-timing cadence: one frontier entry in this many (by frontier
+/// position) reads the clock at every phase boundary; the others only count
+/// toward their worker's total expansion time, which the sampled entries'
+/// phase shares then split (McPhaseTimes).
+constexpr std::size_t kPhaseSampleEvery = 16;
 
-  ConcurrentStateStore visited(opt.exact_states, presize_expected(opt));
-  MetaArena meta;
+using Clock = std::chrono::steady_clock;
 
-  std::atomic<std::uint64_t> transitions{0};
-  std::atomic<std::size_t> states{1};  // the initial state
-  std::atomic<bool> failed{false};
-  std::atomic<bool> limit_hit{false};
-  std::atomic<bool> table_full{false};
+double seconds_since(Clock::time_point t) {
+  return std::chrono::duration<double>(Clock::now() - t).count();
+}
 
-  std::mutex failure_mu;
-  StepOutcome failure_outcome = StepOutcome::Ok;
-  std::uint32_t failure_parent = 0;
-  Transition failure_via{};
+/// Position of one expanded transition in the single-worker expansion
+/// order: the entry's frontier position in the high half, the transition's
+/// index in the entry's expansion order (ample members or all enabled
+/// transitions, preemption-pruned ones included) in the low half.
+using Tag = std::uint64_t;
+constexpr Tag kNoTag = ~Tag{0};
 
-  // POR runtime-violation capture (sampled ample cross-validation) and the
-  // deterministic post-barrier proviso bookkeeping (see the C3 resolution
-  // block below).
-  std::atomic<bool> por_violation{false};
-  std::mutex por_mu;
-  std::string por_violation_detail;
-  AmpleStats por_post;
-  std::vector<std::uint32_t> retries;
+constexpr Tag make_tag(std::size_t entry, std::size_t ti) noexcept {
+  return (static_cast<Tag>(entry) << 32) | static_cast<Tag>(ti);
+}
+constexpr std::size_t tag_entry(Tag t) noexcept {
+  return static_cast<std::size_t>(t >> 32);
+}
+constexpr std::uint32_t tag_index(Tag t) noexcept {
+  return static_cast<std::uint32_t>(t);
+}
 
-  Product init(proto, opt.observer, product);
-  ProcCanonicalizer init_canon(proto, opt.symmetry_reduction && !preempt,
-                               opt.incremental_canonicalization);
-  const bool symmetry = init_canon.active();
-  // Sum of orbit sizes over stored states: how many concrete states the
-  // canonical representatives cover.  orbit_sum / states is the reduction.
-  std::atomic<std::uint64_t> orbit_sum{0};
-  const PreemptState init_ps{PreemptState::kNoLastProc,
-                             model.preemption_bound};
-  {
-    KeyScratch ks;
-    orbit_sum.fetch_add(init_canon.canonicalize_key(init, ks),
-                        std::memory_order_relaxed);
-    if (preempt) {
-      ks.w.u8(init_ps.last);
-      ks.w.u32(init_ps.budget);
-    }
-    const auto key = ks.w.data();
-    result.state_bytes = key.size();
-    visited.insert(key, fingerprint128(key));
+/// What expanding one frontier entry contributed.  Kept per entry so that
+/// a level that stops early counts exactly the entries before its stop.
+struct EntryStat {
+  enum Kind : std::uint8_t {
+    kPlain,    ///< POR inactive
+    kFull,     ///< POR active, full expansion
+    kAmple,    ///< expanded through an ample set whose successors are all new
+    kProviso,  ///< ample set with a successor stored before this level (C3)
+  };
+  std::uint32_t expanded = 0;  ///< transitions stepped
+  std::uint32_t pruned = 0;    ///< transitions cut by the preemption bound
+  std::uint32_t peak = 0;      ///< highest observer live-node count reached
+  std::uint32_t deferred = 0;  ///< ample: enabled transitions left out
+  Kind kind = kPlain;
+};
+
+/// A successor that was not stored when its level began, at the first tag
+/// its worker reached it by.  The level barrier keeps, per state, the
+/// candidate with the smallest tag over all workers.
+struct Candidate {
+  Tag tag = 0;
+  Fingerprint fp;
+  std::uint64_t orbit = 0;
+  Meta meta;
+  // The entry's counts up to and including this step.
+  std::uint32_t expanded = 0;
+  std::uint32_t peak = 0;
+  bool fresh = false;  ///< set at the barrier: this is the state's least tag
+};
+
+/// A failing step: where it happened and the entry's counts up to it.
+struct Failure {
+  Tag tag = kNoTag;
+  StepOutcome outcome = StepOutcome::Ok;
+  Meta at;  ///< the failing entry's state number and the failing transition
+  std::uint32_t expanded = 0;
+  std::uint32_t peak = 0;
+};
+
+/// One worker's successors of the current level that are new to it, keyed
+/// by fingerprint: an open-addressing table of candidate numbers, emptied
+/// in O(1) per level by a generation stamp.
+class LevelSeen {
+ public:
+  void clear() noexcept {
+    size_ = 0;
+    if (++gen_ != 0) return;
+    for (Slot& s : slots_) s.gen = 0;  // stamp wrap-around
+    gen_ = 1;
   }
-  const GraphId stats_null_id =
-      product ? static_cast<GraphId>(init.observer().bandwidth() + 1)
-              : kNoId;
+
+  /// The earlier candidate holding this state — `same(c)` confirms a
+  /// fingerprint match — or `next` once recorded.
+  template <typename Same>
+  std::uint32_t find_or_add(Fingerprint fp, std::uint32_t next, Same&& same) {
+    if ((size_ + 1) * 2 > slots_.size()) rehash();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = fp.hi & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.gen != gen_) {
+        s = {fp, next, gen_};
+        ++size_;
+        return next;
+      }
+      if (s.fp == fp && same(s.cand)) return s.cand;
+    }
+  }
+
+ private:
+  struct Slot {
+    Fingerprint fp;
+    std::uint32_t cand = 0;
+    std::uint32_t gen = 0;
+  };
+
+  void rehash() {
+    std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 1024));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.gen != gen_) continue;
+      std::size_t i = s.fp.hi & mask;
+      while (slots_[i].gen == gen_) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::uint32_t gen_ = 1;
+};
+
+/// Visits, in ascending tag order, the items of `n` tag-sorted sequences
+/// whose tags are <= `last`: `size(w)` is sequence w's length, `tag_at(w,
+/// i)` the tag of its item i, and `visit(w, i)` returns false to stop.
+/// Tags are unique across the sequences (each transition is expanded by
+/// one worker), so the order is total.
+template <typename Size, typename TagAt, typename Visit>
+void merge_by_tag(std::size_t n, Tag last, std::vector<std::size_t>& pos,
+                  Size size, TagAt tag_at, Visit visit) {
+  pos.assign(n, 0);
+  for (;;) {
+    std::size_t best = n;
+    Tag best_tag = last;
+    for (std::size_t w = 0; w < n; ++w) {
+      if (pos[w] == size(w)) continue;
+      const Tag t = tag_at(w, pos[w]);
+      if (best == n ? t <= last : t < best_tag) {
+        best = w;
+        best_tag = t;
+      }
+    }
+    if (best == n || !visit(best, pos[best]++)) return;
+  }
+}
+
+// The exploration engine — one level-synchronized BFS for every thread
+// count, driving the uniform Product through the compact frontier, whose
+// result does not depend on the thread count.  Each level runs in three
+// phases:
+//
+//   * expand (parallel): workers claim chunks of the frontier in order and
+//     step every successor into reused scratch.  The visited store is
+//     frozen — only read — so a successor is either stored already, or a
+//     *candidate*: new to the store and to this worker's level set, it is
+//     serialized into the worker's batch with its tag (entry position,
+//     transition index).  A worker's tags ascend, because its chunks do.
+//   * resolve (parallel): worker o owns the store partitions p with
+//     p % workers == o and inserts the candidates routed to them in tag
+//     order across all workers, so the smallest tag of each state claims
+//     it.  Each partition has one writer, which grows it in place.
+//   * assign (serial): a merge of the workers' candidate lists in tag order
+//     numbers the claimed states, writes their Meta records and builds the
+//     next frontier's entry order.
+//
+// Tag order is exactly the order a single worker expands in, so the state
+// numbers, the next frontier and every counter are those of the 1-worker
+// run: `threads` changes how fast a result arrives, not the result.  A
+// failing step or the state budget stops the level at the smallest tag
+// where it happens; counts cover the entries before it (kept per entry in
+// EntryStat) plus the stopping entry's prefix.  A worker that fails, or
+// whose own candidates alone exhaust the budget, publishes its entry as an
+// upper bound on the stop, and nobody expands past it.  `threads == 1`
+// runs the same phases inline on the calling thread.
+class LevelBfs {
+ public:
+  LevelBfs(const Protocol& proto, const McOptions& opt,
+           const PorOracle& oracle);
+
+  McResult run();
+
+  /// Set when a sampled ample set failed cross-validation at runtime; the
+  /// result of run() is then void and the caller re-explores without POR.
+  [[nodiscard]] const std::string& por_violation() const {
+    return por_violation_;
+  }
+
+ private:
+  enum Phase : std::size_t { kExpand, kCanonicalize, kDedup, kMaterialize };
 
   struct Worker {
     Worker(const Protocol& p, const ObserverConfig& c, bool prod,
            GraphId null_id, bool sym, bool incr, const PorOracle& orc,
-           bool por_on)
+           bool por_on, std::size_t owners)
         : cur(p, c, prod),
           succ(p, c, prod),
           stats(null_id),
           canon(p, sym, incr),
-          ample(p, orc, por_on) {}
+          ample(p, orc, por_on),
+          route(owners) {}
     Product cur;   ///< entry being expanded (restored from the frontier)
     Product succ;  ///< successor scratch, reused across transitions
     std::uint32_t cur_idx = 0;
     PreemptState ps;  ///< cur's scheduling context (preemption bounding)
-    std::uint64_t preempt_pruned = 0;
     KeyScratch key;
     std::vector<Transition> transitions;
     std::vector<Symbol> symbols;
     SymbolStatsSink stats;    ///< attached to succ when symbol_stats
     ProcCanonicalizer canon;  ///< per-worker (it carries scratch)
-    // Direct-mapped positive-membership cache in front of the shared
-    // visited store.  In fingerprint mode a hit certifies the fingerprint
-    // was already inserted — duplicates short-circuit without probing the
-    // (much larger, cache-missing) global table.  Exact mode dedups by full
-    // key, so a hit is only a candidate: it is validated against the cached
-    // shard slot with one byte-compare (ConcurrentStateStore::confirm)
-    // instead of a full hash-map probe.  Membership is monotone, so entries
-    // never invalidate, even across grow().  Sized to stay L2-resident:
-    // 8Ki entries * 24 B ≈ 192 KiB per worker.
+    // Direct-mapped positive-membership cache in front of the visited
+    // store.  In fingerprint mode a hit certifies the fingerprint is
+    // stored, or is one of this worker's candidates of the level `slot`
+    // names — duplicates short-circuit without probing the (much larger,
+    // cache-missing) global table.  A candidate of an earlier level is
+    // stored by now (a level that drops a candidate keeps another worker's
+    // copy of the state).  Exact mode dedups by full key, so a hit is only
+    // a nomination: it is validated against the cached partition slot with
+    // one byte-compare (ConcurrentStateStore::confirm) instead of a full
+    // hash-map probe, and only stored states are cached.  Membership is
+    // monotone, so entries never invalidate, even across growth.  Sized to
+    // stay L2-resident: 8Ki entries * 24 B ≈ 192 KiB.
     struct CacheEntry {
       Fingerprint fp;
-      std::uint32_t slot = 0;
+      std::uint32_t slot = 0;  ///< exact: store slot; else 0 or level + 1
     };
     std::vector<CacheEntry> dup_cache = std::vector<CacheEntry>(8192);
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_lookups = 0;
-    // Ample-set POR state: the per-worker selector (carries scratch), the
-    // current entry's ample member indices, local stats, the set of
-    // fingerprints this worker discovered fresh at the current level
-    // (presence is reliable; absence says nothing about other workers —
-    // hence proviso_retry), the entries whose C3 status needs the
-    // post-barrier resolution, and scratch products for the sampled ample
-    // cross-validation (allocated only when the self-check is on).
-    AmpleSelector ample;
+    AmpleSelector ample;  ///< per-worker (it carries scratch)
     std::vector<std::uint32_t> ample_idx;
-    AmpleStats por_stats;
-    struct FpHash {
-      std::size_t operator()(const Fingerprint& f) const noexcept {
-        return static_cast<std::size_t>(
-            f.lo ^ (f.hi * 0x9e3779b97f4a7c15ULL));
-      }
-    };
-    std::unordered_set<Fingerprint, FpHash> level_fresh_set;
-    /// Worker 0 only: fallback-discovered fresh states of the current
-    /// level, for the post-barrier proviso resolution.
-    std::unordered_set<Fingerprint, FpHash> level_fresh_overflow;
-    std::vector<std::uint32_t> proviso_retry;
-    std::uint64_t reduced_seen = 0;
-    std::unique_ptr<Product> chk_a;
-    std::unique_ptr<Product> chk_b;
-    KeyScratch chk_key;
-    std::vector<Transition> chk_trans;
-    FrontierBatch out;        ///< next-level entries this worker found
-    // Resume cursors into the worker's claimed chunk of the global
-    // frontier; chunk_next stays on the unfinished entry across grow
-    // barriers, the shared claim cursor hands out fresh chunks.
+    // The level's candidates in tag order, their frontier entries in the
+    // same order (worker 0's batch also takes the proviso fallback's
+    // states after them), their keys in exact mode, and their numbers by
+    // the worker that owns their store partition.
+    std::vector<Candidate> cands;
+    FrontierBatch out;
+    std::vector<std::uint8_t> cand_keys;
+    std::vector<std::uint32_t> cand_key_ends;
+    LevelSeen seen;
+    std::vector<std::vector<std::uint32_t>> route;
+    std::vector<std::size_t> merge_pos;
+    Failure fail;         ///< this worker's first failing step
+    Tag bound = kNoTag;   ///< where its own candidates exhausted the budget
     std::size_t chunk_next = 0;
     std::size_t chunk_end = 0;
-    std::size_t peak_live = 0;
-    double t_expand = 0.0;  ///< phase accounting (McPhaseTimes)
-    double t_canon = 0.0;
-    double t_dedup = 0.0;
-    double t_mat = 0.0;
+    double expand_s = 0.0;  ///< time in the expand phase
+    std::array<double, 4> sampled{};  ///< phase times of sampled entries
+    double resolve_s = 0.0;
+
+    [[nodiscard]] std::span<const std::uint8_t> cand_key(
+        std::uint32_t c) const {
+      if (cand_key_ends.empty()) return {};
+      const std::uint32_t begin = c == 0 ? 0 : cand_key_ends[c - 1];
+      return std::span<const std::uint8_t>(cand_keys)
+          .subspan(begin, cand_key_ends[c] - begin);
+    }
   };
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(nworkers);
-  for (std::size_t w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<Worker>(
-        proto, opt.observer, product, stats_null_id, symmetry,
-        opt.incremental_canonicalization, oracle, por));
-    if (opt.symbol_stats && product) {
-      workers.back()->succ.add_sink(&workers.back()->stats);
-    }
-    if (por && opt.por_self_check) {
-      workers.back()->chk_a =
-          std::make_unique<Product>(proto, opt.observer, product);
-      workers.back()->chk_b =
-          std::make_unique<Product>(proto, opt.observer, product);
-    }
+
+  enum class Seen : std::uint8_t { Stored, Level, New };
+
+  void begin_level();
+  void expand(std::size_t w);
+  void expand_entries(Worker& ws);
+  Seen classify(Worker& ws, std::span<const std::uint8_t> key,
+                Fingerprint fp);
+  void resolve(std::size_t o);
+  const Candidate* assign();
+  void commit_entries(std::size_t end);
+  void commit_prefix(Tag tag, std::uint32_t expanded, std::uint32_t peak);
+  bool ample_samples_ok(std::size_t end);
+  bool ample_check_ok(Worker& ws, std::string& detail);
+  enum class Halt : std::uint8_t { None, Failure, Limit };
+  Halt proviso_fallback();
+  void load_entry(Worker& ws, std::size_t gi);
+  void lower_stop(std::size_t gi);
+  void end_level(Clock::time_point level_start);
+  McResult finish(McVerdict v);
+  /// finish() plus the counterexample of failure_ (finish_failure sets the
+  /// verdict from its outcome).
+  McResult finish_failed() {
+    return finish_failure(proto_, opt_, finish(McVerdict::Violation),
+                          failure_.outcome, meta_, failure_.at.parent,
+                          failure_.at.via);
   }
 
-  // In-engine ample cross-validation: re-establishes on live reachable
-  // states what product_por_ok sampled from its walk.  Every ample member
-  // must be a stutter (no descriptor symbols) and must commute with every
-  // deferred transition through the whole product.  Runs before the
-  // worker's begin_base(), so the canonicalizer's epoch cache is clean for
-  // the real successors afterwards.
-  const auto ample_check_ok = [&proto](Worker& ws, std::string& detail) {
-    for (const std::uint32_t i : ws.ample_idx) {
-      ws.chk_a->assign_from(ws.cur);
-      if (ws.chk_a->step(ws.transitions[i], ws.symbols) == StepOutcome::Ok &&
-          !ws.symbols.empty()) {
-        detail = "ample member '" +
-                 proto.action_name(ws.transitions[i].action) +
-                 "' emits descriptor symbols";
-        return false;
-      }
-      std::size_t m = 0;
-      for (std::size_t j = 0; j < ws.transitions.size(); ++j) {
-        if (m < ws.ample_idx.size() && ws.ample_idx[m] == j) {
-          ++m;  // member-member pairs need no commutation argument
-          continue;
-        }
-        if (!independence_commutes(proto, ws.canon, ws.cur,
-                                   ws.transitions[i], ws.transitions[j],
-                                   *ws.chk_a, *ws.chk_b, ws.key, ws.chk_key,
-                                   ws.chk_trans, ws.symbols, detail)) {
-          return false;
-        }
-      }
+  const Clock::time_point t0_ = Clock::now();
+  const Protocol& proto_;
+  const McOptions& opt_;
+  const std::size_t nworkers_;
+  const bool product_;
+  const MemoryModel model_;
+  const bool preempt_;
+  const bool por_;
+  ThreadPool pool_;
+  ConcurrentStateStore visited_;
+  MetaArena meta_;
+  bool symmetry_ = false;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  // Scratch of the sampled ample cross-validation (por_self_check).
+  std::unique_ptr<Product> chk_a_;
+  std::unique_ptr<Product> chk_b_;
+  KeyScratch chk_key_;
+  std::vector<Transition> chk_trans_;
+
+  // The level being expanded: the workers' batches of the previous level,
+  // addressed in expansion order by order_.
+  std::vector<FrontierBatch> frontier_;
+  std::vector<EntryRef> order_;
+  std::vector<EntryRef> next_order_;
+  std::vector<EntryStat> entry_stats_;
+  std::size_t total_ = 0;
+  std::size_t chunk_sz_ = 1;
+  std::size_t states_before_ = 0;
+  std::atomic<std::size_t> claim_{0};
+  /// Upper bound on the entry the level stops in (SIZE_MAX: none yet).
+  std::atomic<std::size_t> stop_entry_{~std::size_t{0}};
+  Tag stop_tag_ = kNoTag;  ///< smallest failure or budget bound of the level
+  std::vector<std::size_t> assign_pos_;
+
+  // Counts over committed expansions.
+  std::uint64_t transitions_ = 0;
+  std::uint64_t pruned_ = 0;
+  std::size_t peak_live_ = 0;
+  std::uint64_t orbit_sum_ = 0;  ///< orbit sizes of the stored states
+  AmpleStats por_stats_;
+  std::uint64_t por_reduced_seen_ = 0;
+  Failure failure_;
+  std::string por_violation_;
+  double assign_s_ = 0.0;
+  McResult result_;
+};
+
+LevelBfs::LevelBfs(const Protocol& proto, const McOptions& opt,
+                   const PorOracle& oracle)
+    : proto_(proto),
+      opt_(opt),
+      nworkers_(opt.threads),
+      product_(!opt.protocol_only),
+      // Bounded preemption (see McOptions::observer): thread the scheduling
+      // context through keys and frontier entries, prune over-budget
+      // transitions.  model_check already strips symmetry and POR under it;
+      // the gates here keep the engine sound even with a raw option set.
+      model_(opt.observer.effective_model()),
+      preempt_(model_.bounded_preemption()),
+      // POR engages only against the full product: invisibility (C2) is
+      // defined relative to the observer/checker pipeline, which
+      // protocol_only drops.
+      por_(opt.partial_order_reduction && product_ && !preempt_ &&
+           AmpleSelector(proto, oracle, true).active()),
+      // One worker needs no OS threads: the pool runs the task inline.
+      pool_(nworkers_ == 1 ? 0 : nworkers_, opt.pin_threads),
+      visited_(opt.exact_states, presize_expected(opt)),
+      frontier_(nworkers_) {
+  Product init(proto, opt.observer, product_);
+  ProcCanonicalizer init_canon(proto, opt.symmetry_reduction && !preempt_,
+                               opt.incremental_canonicalization);
+  symmetry_ = init_canon.active();
+  const PreemptState init_ps{PreemptState::kNoLastProc,
+                             model_.preemption_bound};
+  KeyScratch ks;
+  orbit_sum_ = init_canon.canonicalize_key(init, ks);
+  if (preempt_) {
+    ks.w.u8(init_ps.last);
+    ks.w.u32(init_ps.budget);
+  }
+  const auto key = ks.w.data();
+  result_.state_bytes = key.size();
+  visited_.insert(key, fingerprint128(key));
+  append_entry(0, init, frontier_[0], preempt_ ? &init_ps : nullptr);
+  order_.push_back({0, 0});
+
+  const GraphId stats_null_id =
+      product_ ? static_cast<GraphId>(init.observer().bandwidth() + 1)
+               : kNoId;
+  workers_.reserve(nworkers_);
+  for (std::size_t w = 0; w < nworkers_; ++w) {
+    workers_.push_back(std::make_unique<Worker>(
+        proto, opt.observer, product_, stats_null_id, symmetry_,
+        opt.incremental_canonicalization, oracle, por_, nworkers_));
+    if (opt.symbol_stats && product_) {
+      workers_.back()->succ.add_sink(&workers_.back()->stats);
     }
-    return true;
-  };
+  }
+  if (por_ && opt.por_self_check) {
+    chk_a_ = std::make_unique<Product>(proto, opt.observer, product_);
+    chk_b_ = std::make_unique<Product>(proto, opt.observer, product_);
+  }
+}
 
-  const auto merge_worker_stats = [&] {
-    result.por_active = por;
-    result.por_ample_states = por_post.ample_states;
-    result.por_full_states = por_post.full_states;
-    result.por_proviso_fallbacks = por_post.proviso_fallbacks;
-    result.por_deferred_transitions = por_post.deferred_transitions;
-    for (const auto& ws : workers) {
-      result.peak_live_nodes = std::max(result.peak_live_nodes, ws->peak_live);
-      if (opt.symbol_stats) result.symbol_stats.merge(ws->stats.stats());
-      result.phase_times.expand += ws->t_expand;
-      result.phase_times.canonicalize += ws->t_canon;
-      result.phase_times.dedup += ws->t_dedup;
-      result.phase_times.materialize += ws->t_mat;
-      result.por_ample_states += ws->por_stats.ample_states;
-      result.por_full_states += ws->por_stats.full_states;
-      result.por_proviso_fallbacks += ws->por_stats.proviso_fallbacks;
-      result.por_deferred_transitions += ws->por_stats.deferred_transitions;
-      result.dup_cache_hits += ws->cache_hits;
-      result.dup_cache_lookups += ws->cache_lookups;
-      result.preemption_pruned += ws->preempt_pruned;
+McResult LevelBfs::run() {
+  while (!order_.empty()) {
+    if (result_.depth >= opt_.max_depth) return finish(McVerdict::StateLimit);
+    const auto level_start = Clock::now();
+    begin_level();
+    pool_.run_on_all([this](std::size_t w) { expand(w); });
+    stop_tag_ = kNoTag;
+    for (const auto& ws : workers_) {
+      stop_tag_ = std::min({stop_tag_, ws->fail.tag, ws->bound});
     }
-    result.preemption_bounded = preempt;
-    result.symmetry_active = symmetry;
-    const std::size_t n = states.load();
-    result.orbit_reduction =
-        n == 0 ? 1.0
-               : static_cast<double>(orbit_sum.load()) /
-                     static_cast<double>(n);
-  };
+    pool_.run_on_all([this](std::size_t o) { resolve(o); });
+    const Candidate* limit = assign();
 
-  const auto finish = [&](McVerdict v) {
-    result.verdict = v;
-    result.transitions = transitions.load();
-    // Under a state limit the counter may overshoot (several workers can
-    // claim fresh states concurrently before the flag propagates); clamp
-    // to the budget.  max(·, 2) covers the degenerate max_states <= 1
-    // budgets, where expansion still sees the two states it touched before
-    // stopping.
-    const std::size_t n = states.load();
-    result.states = limit_hit.load()
-                        ? std::max(opt.max_states, std::size_t{2})
-                        : n;
-    fill_store_stats(result, visited);
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return result;
-  };
-
-  std::vector<FrontierBatch> frontier(nworkers);
-  append_entry(0, init, frontier[0], preempt ? &init_ps : nullptr);
-  std::size_t frontier_entries = 1;
-  std::vector<std::size_t> prefix(nworkers + 1, 0);
-
-  while (frontier_entries > 0) {
-    if (result.depth >= opt.max_depth) {
-      merge_worker_stats();
+    // The level's stop, if any: the budget-exhausting candidate, or else
+    // the smallest failing step (a worker's budget bound always yields a
+    // limit candidate at or before it).
+    Tag stop = kNoTag;
+    if (limit != nullptr) {
+      stop = limit->tag;
+    } else if (stop_tag_ != kNoTag) {
+      for (const auto& ws : workers_) {
+        if (ws->fail.tag == stop_tag_) failure_ = ws->fail;
+      }
+      SCV_ASSERT(failure_.tag == stop_tag_);
+      stop = stop_tag_;
+    }
+    const std::size_t end = stop == kNoTag ? total_ : tag_entry(stop);
+    if (por_ && opt_.por_self_check &&
+        !ample_samples_ok(stop == kNoTag ? total_ : end + 1)) {
+      return {};
+    }
+    commit_entries(end);
+    if (limit != nullptr) {
+      commit_prefix(limit->tag, limit->expanded, limit->peak);
       return finish(McVerdict::StateLimit);
     }
-    const auto lt0 = std::chrono::steady_clock::now();
-    const std::size_t states_before = states.load();
-
-    prefix[0] = 0;
-    for (std::size_t b = 0; b < frontier.size(); ++b) {
-      prefix[b + 1] = prefix[b] + frontier[b].size();
+    if (stop != kNoTag) {
+      commit_prefix(failure_.tag, failure_.expanded, failure_.peak);
+      return finish_failed();
     }
-    const std::size_t total = prefix.back();
-    SCV_ASSERT(total == frontier_entries);
-    std::size_t cur_bytes = 0;
-    for (const FrontierBatch& b : frontier) cur_bytes += b.bytes.size();
-
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      workers[w]->out.clear();
-      workers[w]->chunk_next = 0;
-      workers[w]->chunk_end = 0;
-      workers[w]->level_fresh_set.clear();
-      workers[w]->proviso_retry.clear();
+    if (por_) {
+      const Halt halt = proviso_fallback();
+      if (halt == Halt::Limit) return finish(McVerdict::StateLimit);
+      if (halt == Halt::Failure) return finish_failed();
     }
+    end_level(level_start);
+  }
+  return finish(McVerdict::Verified);
+}
 
-    // Chunked work claiming: workers grab contiguous runs of frontier
-    // entries from a shared cursor instead of a fixed stride, so a worker
-    // stuck on expensive entries does not leave its whole stride stranded
-    // while others idle at the level barrier.  Chunks are contiguous for
-    // batch locality, sized so each worker sees ~8 claims per level (caps
-    // tail imbalance at ~1/8 of a worker's share) but at most 64 entries
-    // (bounds the tail chunk's latency).  The cursor outlives the grow
-    // barrier on purpose: resumed workers finish their claimed chunk first,
-    // then claim fresh ones.  With one worker chunks are claimed in order,
-    // so expansion order — and thus counterexample choice — is exactly the
-    // sequential engine's.
-    std::atomic<std::size_t> claim{0};
-    const std::size_t chunk_sz =
-        std::clamp<std::size_t>(total / (nworkers * 8), 1, 64);
+void LevelBfs::begin_level() {
+  total_ = order_.size();
+  states_before_ = meta_.size();
+  if (entry_stats_.size() < total_) entry_stats_.resize(total_);
+  // Chunked work claiming: workers grab contiguous runs of frontier
+  // entries from a shared cursor instead of a fixed stride, so a worker
+  // stuck on expensive entries does not leave its whole stride stranded
+  // while others idle at the level barrier.  Chunks are sized so each
+  // worker sees ~8 claims per level (caps tail imbalance at ~1/8 of a
+  // worker's share) but at most 64 entries (bounds the tail chunk's
+  // latency).  Claims ascend, so each worker's tags do.
+  chunk_sz_ = std::clamp<std::size_t>(total_ / (nworkers_ * 8), 1, 64);
+  claim_.store(0, std::memory_order_relaxed);
+  stop_entry_.store(~std::size_t{0}, std::memory_order_relaxed);
+  next_order_.clear();
+  for (const auto& ws : workers_) {
+    ws->cands.clear();
+    ws->out.clear();
+    ws->cand_keys.clear();
+    ws->cand_key_ends.clear();
+    ws->seen.clear();
+    for (auto& r : ws->route) r.clear();
+    ws->fail = {};
+    ws->bound = kNoTag;
+    ws->chunk_next = 0;
+    ws->chunk_end = 0;
+  }
+}
 
-    const auto expand_worker = [&](std::size_t w) {
-      Worker& ws = *workers[w];
-      std::size_t batch = 0;
-      // Phase boundary cursor: everything between two clock reads is charged
-      // to the phase that just ran (restore/enumerate/step -> expand,
-      // signature/canonical-key work -> canonicalize, fingerprint/visited
-      // insert -> dedup, meta/serialize -> materialize).  Early returns are
-      // cold paths and skip accounting.
-      auto mark = std::chrono::steady_clock::now();
-      const auto charge = [&mark](double& acc) {
-        const auto now = std::chrono::steady_clock::now();
-        acc += std::chrono::duration<double>(now - mark).count();
-        mark = now;
-      };
-      for (;;) {
-        if (ws.chunk_next >= ws.chunk_end) {
-          ws.chunk_next = claim.fetch_add(chunk_sz, std::memory_order_relaxed);
-          if (ws.chunk_next >= total) return;
-          ws.chunk_end = std::min(ws.chunk_next + chunk_sz, total);
-        }
-        if (failed.load(std::memory_order_relaxed) ||
-            limit_hit.load(std::memory_order_relaxed) ||
-            table_full.load(std::memory_order_relaxed) ||
-            por_violation.load(std::memory_order_relaxed)) {
-          return;  // entry boundary: nothing partial to roll back
-        }
-        const std::size_t gi = ws.chunk_next;
-        while (prefix[batch + 1] <= gi) ++batch;
-        ws.cur_idx =
-            restore_entry(frontier[batch].entry(gi - prefix[batch]), ws.cur,
-                          preempt ? &ws.ps : nullptr);
-        ws.transitions.clear();
-        ws.cur.enumerate(ws.transitions);
-        const bool reduced =
-            por && ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
-        if (reduced && opt.por_self_check &&
-            (ws.reduced_seen++ % kPorSampleEvery) == 0) {
-          std::string detail;
-          if (!ample_check_ok(ws, detail)) {
-            std::lock_guard lock(por_mu);
-            if (!por_violation.exchange(true)) {
-              por_violation_detail = std::move(detail);
+void LevelBfs::lower_stop(std::size_t gi) {
+  std::size_t cur = stop_entry_.load(std::memory_order_relaxed);
+  while (gi < cur && !stop_entry_.compare_exchange_weak(
+                         cur, gi, std::memory_order_relaxed)) {
+  }
+}
+
+void LevelBfs::load_entry(Worker& ws, std::size_t gi) {
+  const EntryRef r = order_[gi];
+  ws.cur_idx = restore_entry(frontier_[r.batch].entry(r.entry), ws.cur,
+                             preempt_ ? &ws.ps : nullptr);
+  ws.transitions.clear();
+  ws.cur.enumerate(ws.transitions);
+}
+
+void LevelBfs::expand(std::size_t w) {
+  Worker& ws = *workers_[w];
+  const auto start = Clock::now();
+  expand_entries(ws);
+  ws.expand_s += seconds_since(start);
+}
+
+LevelBfs::Seen LevelBfs::classify(Worker& ws,
+                                  std::span<const std::uint8_t> key,
+                                  Fingerprint fp) {
+  // In fingerprint mode a cache hit IS membership; exact mode confirms the
+  // cached slot with one byte-compare, and an alias falls back to find().
+  Worker::CacheEntry& entry = ws.dup_cache[fp.lo & (ws.dup_cache.size() - 1)];
+  const auto level_mark = static_cast<std::uint32_t>(result_.depth + 1);
+  ++ws.cache_lookups;
+  if (entry.fp == fp) {
+    if (!opt_.exact_states) {
+      ++ws.cache_hits;
+      return entry.slot == level_mark ? Seen::Level : Seen::Stored;
+    }
+    if (visited_.confirm(key, fp, entry.slot)) {
+      ++ws.cache_hits;
+      return Seen::Stored;
+    }
+  }
+  const ConcurrentStateStore::Found found = visited_.find(key, fp);
+  if (found.member) {
+    entry = {fp, found.slot};
+    return Seen::Stored;
+  }
+  const auto next = static_cast<std::uint32_t>(ws.cands.size());
+  const std::uint32_t c = ws.seen.find_or_add(fp, next, [&](std::uint32_t p) {
+    if (!opt_.exact_states) return true;
+    const auto k = ws.cand_key(p);
+    return std::equal(k.begin(), k.end(), key.begin(), key.end());
+  });
+  if (c != next) return Seen::Level;
+  if (!opt_.exact_states) entry = {fp, level_mark};
+  return Seen::New;
+}
+
+void LevelBfs::expand_entries(Worker& ws) {
+  // Sampled entries charge everything between two clock reads to the phase
+  // that just ran (restore/enumerate/step -> expand, signature/canonical-key
+  // work -> canonicalize, fingerprint/store probe -> dedup, candidate and
+  // serialization -> materialize).
+  Clock::time_point mark;
+  const auto charge = [&](Phase p) {
+    const auto now = Clock::now();
+    ws.sampled[p] += std::chrono::duration<double>(now - mark).count();
+    mark = now;
+  };
+  for (;;) {
+    if (ws.chunk_next >= ws.chunk_end) {
+      ws.chunk_next = claim_.fetch_add(chunk_sz_, std::memory_order_relaxed);
+      if (ws.chunk_next >= total_) return;
+      ws.chunk_end = std::min(ws.chunk_next + chunk_sz_, total_);
+    }
+    const std::size_t gi = ws.chunk_next++;
+    // Past the earliest stop found so far nothing counts; claims ascend,
+    // so nothing later in this worker's queue does either.
+    if (gi > stop_entry_.load(std::memory_order_relaxed)) return;
+    const bool sampled = gi % kPhaseSampleEvery == 0;
+    if (sampled) mark = Clock::now();
+    load_entry(ws, gi);
+    const bool reduced =
+        por_ && ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
+    EntryStat& es = entry_stats_[gi];
+    es = {};
+    if (reduced) {
+      es.kind = EntryStat::kAmple;
+      es.deferred = static_cast<std::uint32_t>(ws.transitions.size() -
+                                               ws.ample_idx.size());
+    } else if (por_) {
+      es.kind = EntryStat::kFull;
+    }
+    // New base state for the canonicalizer's per-processor signature
+    // cache; successor dirty masks below are relative to ws.cur.
+    ws.canon.begin_base();
+    bool unproven = false;
+    const std::size_t ntrans =
+        reduced ? ws.ample_idx.size() : ws.transitions.size();
+    PreemptState nps = ws.ps;
+    for (std::size_t ti = 0; ti < ntrans; ++ti) {
+      const Transition& t = ws.transitions[reduced ? ws.ample_idx[ti] : ti];
+      if (preempt_) {
+        nps = ws.ps;
+        if (t.action.is_memory_op()) {
+          const std::uint8_t tp = t.action.op.proc;
+          if (nps.last != PreemptState::kNoLastProc && tp != nps.last) {
+            if (nps.budget == 0) {
+              // Context-switch budget exhausted: the bound prunes this
+              // scheduling.  Not counted as an explored transition.
+              ++es.pruned;
+              continue;
             }
-            return;
+            --nps.budget;
           }
+          nps.last = tp;
         }
-        // New base state for the canonicalizer's per-processor signature
-        // cache; successor dirty masks below are relative to ws.cur.  After
-        // the self-check on purpose: the check canonicalizes unrelated
-        // states with a full dirty mask, which would poison the epoch.
-        ws.canon.begin_base();
-        std::uint64_t expanded = 0;
-        bool ample_dup_unproven = false;
-        const std::size_t ntrans =
-            reduced ? ws.ample_idx.size() : ws.transitions.size();
-        PreemptState nps = ws.ps;
-        for (std::size_t ti = 0; ti < ntrans; ++ti) {
-          const Transition& t =
-              ws.transitions[reduced ? ws.ample_idx[ti] : ti];
-          if (preempt) {
-            nps = ws.ps;
-            if (t.action.is_memory_op()) {
-              const std::uint8_t tp = t.action.op.proc;
-              if (nps.last != PreemptState::kNoLastProc && tp != nps.last) {
-                if (nps.budget == 0) {
-                  // Context-switch budget exhausted: the bound prunes this
-                  // scheduling.  Not counted as an explored transition.
-                  ++ws.preempt_pruned;
-                  continue;
-                }
-                --nps.budget;
-              }
-              nps.last = tp;
-            }
-          }
-          ++expanded;
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome outcome = ws.succ.step(t, ws.symbols);
-          if (outcome != StepOutcome::Ok) {
-            std::lock_guard lock(failure_mu);
-            if (!failed.exchange(true)) {
-              failure_outcome = outcome;
-              failure_parent = ws.cur_idx;
-              failure_via = t;
-            }
-            // The failing transition counts.
-            transitions.fetch_add(expanded, std::memory_order_relaxed);
-            return;
-          }
-          if (product) {
-            ws.peak_live = std::max(
-                ws.peak_live,
-                static_cast<std::size_t>(ws.succ.observer().peak_live_nodes()));
-          }
-          charge(ws.t_expand);
-          // succ = step(cur, t), so the step's touched mask doubles as the
-          // dirty mask relative to the begin_base() state.
-          const std::uint64_t orbit = ws.canon.canonicalize_key(
-              ws.succ, ws.key, nullptr, ws.succ.touched_procs());
-          if (preempt) {
-            ws.key.w.u8(nps.last);
-            ws.key.w.u32(nps.budget);
-          }
-          charge(ws.t_canon);
-          const auto key = ws.key.w.data();
-          const Fingerprint fp = fingerprint128(key);
-          // In fingerprint mode dedup is by fingerprint identity, so a hit
-          // in the worker-local cache IS a Duplicate verdict — same result
-          // the global probe would return, minus the cache miss.  Exact
-          // mode dedups by full key (two distinct keys may share a
-          // fingerprint), so a cache hit only nominates a shard slot; one
-          // byte-compare against it (confirm) certifies membership, and an
-          // alias falls back to the full probe.
-          ConcurrentStateStore::Insert ins;
-          Worker::CacheEntry& entry =
-              ws.dup_cache[fp.lo & (ws.dup_cache.size() - 1)];
-          ++ws.cache_lookups;
-          if (entry.fp == fp &&
-              (!opt.exact_states || visited.confirm(key, fp, entry.slot))) {
-            ++ws.cache_hits;
-            ins = ConcurrentStateStore::Insert::Duplicate;
-          } else {
-            const auto r = visited.insert(key, fp);
-            ins = r.verdict;
-            // Only states the store accepted are cached (a TableFull
-            // attempt inserted nothing).
-            if (ins != ConcurrentStateStore::Insert::TableFull) {
-              entry = {fp, r.slot};
-            }
-          }
-          charge(ws.t_dedup);
-          if (ins == ConcurrentStateStore::Insert::TableFull) {
-            // Abort at entry granularity *without* committing this entry's
-            // transition count: after the grow barrier the whole entry is
-            // re-expanded, its already-claimed successors dedup to
-            // Duplicate (they were batched the moment they were claimed),
-            // and the count is taken exactly once.
-            table_full.store(true, std::memory_order_release);
-            return;
-          }
-          if (ins == ConcurrentStateStore::Insert::Fresh) {
-            if (por) ws.level_fresh_set.insert(fp);
-            orbit_sum.fetch_add(orbit, std::memory_order_relaxed);
-            const std::size_t idx =
-                states.fetch_add(1, std::memory_order_relaxed);
-            Meta& m = meta.slot(idx);
-            m.parent = ws.cur_idx;
-            m.via = t;
-            append_entry(static_cast<std::uint32_t>(idx), ws.succ, ws.out,
-                         preempt ? &nps : nullptr);
-            charge(ws.t_mat);
-            if (idx + 1 >= opt.max_states) {
-              limit_hit.store(true, std::memory_order_relaxed);
-              transitions.fetch_add(expanded, std::memory_order_relaxed);
-              return;
-            }
-          } else if (reduced && !ws.level_fresh_set.contains(fp)) {
-            // Possible non-depth-increasing ample edge (C3): the duplicate
-            // may predate this level, closing a cycle inside the reduced
-            // graph.  The worker only knows its *own* fresh finds reliably,
-            // so it defers the decision to the deterministic post-barrier
-            // resolution instead of guessing across racy peers.
-            ample_dup_unproven = true;
-          }
-        }
-        transitions.fetch_add(expanded, std::memory_order_relaxed);
-        if (reduced) {
-          if (ample_dup_unproven) {
-            ws.proviso_retry.push_back(static_cast<std::uint32_t>(gi));
-          } else {
-            ++ws.por_stats.ample_states;
-            ws.por_stats.deferred_transitions +=
-                ws.transitions.size() - ws.ample_idx.size();
-          }
-        } else if (por) {
-          ++ws.por_stats.full_states;
-        }
-        ws.chunk_next = gi + 1;
       }
-    };
-
-    for (;;) {
-      pool.run_on_all(expand_worker);
-      if (failed.load() || limit_hit.load()) break;
-      if (table_full.exchange(false)) {
-        visited.grow();  // workers are quiescent between barriers
+      ++es.expanded;
+      ws.succ.assign_from(ws.cur);
+      const StepOutcome outcome = ws.succ.step(t, ws.symbols);
+      if (outcome != StepOutcome::Ok) {
+        ws.fail = {make_tag(gi, ti), outcome, {ws.cur_idx, t}, es.expanded,
+                   es.peak};
+        lower_stop(gi);
+        return;
+      }
+      if (product_) {
+        es.peak = std::max(es.peak, static_cast<std::uint32_t>(
+                                        ws.succ.observer().peak_live_nodes()));
+      }
+      if (sampled) charge(kExpand);
+      // succ = step(cur, t), so the step's touched mask doubles as the
+      // dirty mask relative to the begin_base() state.
+      const std::uint64_t orbit = ws.canon.canonicalize_key(
+          ws.succ, ws.key, nullptr, ws.succ.touched_procs());
+      if (preempt_) {
+        ws.key.w.u8(nps.last);
+        ws.key.w.u32(nps.budget);
+      }
+      if (sampled) charge(kCanonicalize);
+      const auto key = ws.key.w.data();
+      const Fingerprint fp = fingerprint128(key);
+      const Seen seen = classify(ws, key, fp);
+      if (sampled) charge(kDedup);
+      if (seen == Seen::Stored) {
+        // An ample successor stored before this level may close a cycle
+        // inside the reduced graph (C3): decided after the barrier.
+        unproven = unproven || reduced;
         continue;
       }
-      break;
-    }
-
-    if (por_violation.load()) {
-      // A live ample set failed cross-validation: some independence or
-      // footprint declaration is wrong, so nothing explored under it can be
-      // trusted.  Redo the whole run with POR off — sound, just slower —
-      // and say why.
-      McOptions full = opt;
-      full.partial_order_reduction = false;
-      McResult redo = run_bfs(proto, full, oracle);
-      redo.por_note = "ample self-check failed at runtime (" +
-                      por_violation_detail +
-                      "); explored without partial-order reduction";
-      return redo;
-    }
-
-    if (por && !failed.load() && !limit_hit.load()) {
-      // Deterministic cycle-proviso (C3) resolution.  BFS assigns minimal
-      // depths, so any cycle in the reduced graph has an edge whose target
-      // is no deeper than its source; that edge shows up as an ample
-      // successor deduplicating against a state NOT discovered fresh at
-      // this level.  Workers recorded every such unproven entry; with the
-      // pool quiescent, the union of their fresh sets is the exact
-      // level-fresh set, so re-deciding each entry against it here is
-      // independent of thread count and scheduling.  (Freshness is judged
-      // by fingerprint in both store modes — exact mode accepts the 2^-128
-      // aliasing risk to keep its decisions identical to fingerprint
-      // mode's.)  The union is never materialized: a membership query just
-      // probes every worker's own set, plus the overflow set of states the
-      // fallback expansions below discover late.
-      retries.clear();
-      for (const auto& ws : workers) {
-        retries.insert(retries.end(), ws->proviso_retry.begin(),
-                       ws->proviso_retry.end());
+      if (seen == Seen::Level) continue;
+      const auto c = static_cast<std::uint32_t>(ws.cands.size());
+      ws.cands.push_back({make_tag(gi, ti), fp, orbit, {ws.cur_idx, t},
+                          es.expanded, es.peak, false});
+      if (opt_.exact_states) {
+        ws.cand_keys.insert(ws.cand_keys.end(), key.begin(), key.end());
+        ws.cand_key_ends.push_back(
+            static_cast<std::uint32_t>(ws.cand_keys.size()));
       }
-      std::sort(retries.begin(), retries.end());
-      Worker& ws = *workers[0];
-      auto& late_fresh = ws.level_fresh_overflow;
-      late_fresh.clear();
-      const auto fresh_this_level = [&](const Fingerprint& f) {
-        for (const auto& wp : workers) {
-          if (wp->level_fresh_set.contains(f)) return true;
-        }
-        return late_fresh.contains(f);
-      };
-      for (const std::uint32_t gi : retries) {
-        std::size_t batch = 0;
-        while (prefix[batch + 1] <= gi) ++batch;
-        ws.cur_idx =
-            restore_entry(frontier[batch].entry(gi - prefix[batch]), ws.cur);
-        ws.transitions.clear();
-        ws.cur.enumerate(ws.transitions);
-        const bool re =
-            ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
-        SCV_ASSERT(re);  // selection is deterministic in the state bytes
-        ws.canon.begin_base();
-        bool all_fresh = true;
-        for (const std::uint32_t i : ws.ample_idx) {
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome o = ws.succ.step(ws.transitions[i], ws.symbols);
-          SCV_ASSERT(o == StepOutcome::Ok);
-          ws.canon.canonicalize_key(ws.succ, ws.key, nullptr,
-                                    ws.succ.touched_procs());
-          if (!fresh_this_level(fingerprint128(ws.key.w.data()))) {
-            all_fresh = false;
-            break;
-          }
-        }
-        if (all_fresh) {
-          // Depth strictly increases along every ample edge of this entry,
-          // so no reduced cycle closes through it: the reduction stands.
-          ++por_post.ample_states;
-          por_post.deferred_transitions +=
-              ws.transitions.size() - ws.ample_idx.size();
-          continue;
-        }
-        // Proviso fallback: expand the deferred complement too.  The ample
-        // members already ran in the parallel phase, so only the remainder
-        // is stepped; dedup absorbs any overlap, exactly like TableFull
-        // re-expansion.
-        ++por_post.proviso_fallbacks;
-        ++por_post.full_states;
-        std::uint64_t extra = 0;
-        std::size_t m = 0;
-        bool aborted = false;
-        for (std::size_t j = 0; j < ws.transitions.size(); ++j) {
-          if (m < ws.ample_idx.size() && ws.ample_idx[m] == j) {
-            ++m;
-            continue;
-          }
-          ++extra;
-          ws.succ.assign_from(ws.cur);
-          const StepOutcome outcome =
-              ws.succ.step(ws.transitions[j], ws.symbols);
-          if (outcome != StepOutcome::Ok) {
-            std::lock_guard lock(failure_mu);
-            if (!failed.exchange(true)) {
-              failure_outcome = outcome;
-              failure_parent = ws.cur_idx;
-              failure_via = ws.transitions[j];
-            }
-            aborted = true;
-            break;
-          }
-          const std::uint64_t orbit = ws.canon.canonicalize_key(
-              ws.succ, ws.key, nullptr, ws.succ.touched_procs());
-          const auto key = ws.key.w.data();
-          const Fingerprint fp = fingerprint128(key);
-          auto r = visited.insert(key, fp);
-          if (r.verdict == ConcurrentStateStore::Insert::TableFull) {
-            visited.grow();  // single-threaded here: growing inline is safe
-            r = visited.insert(key, fp);
-          }
-          if (r.verdict == ConcurrentStateStore::Insert::Fresh) {
-            orbit_sum.fetch_add(orbit, std::memory_order_relaxed);
-            const std::size_t idx =
-                states.fetch_add(1, std::memory_order_relaxed);
-            Meta& mm = meta.slot(idx);
-            mm.parent = ws.cur_idx;
-            mm.via = ws.transitions[j];
-            append_entry(static_cast<std::uint32_t>(idx), ws.succ, ws.out);
-            // Late fresh states join the level-fresh set: a later retry's
-            // ample successor may legitimately hit one of them.
-            late_fresh.insert(fp);
-            if (idx + 1 >= opt.max_states) {
-              limit_hit.store(true, std::memory_order_relaxed);
-              aborted = true;
-              break;
-            }
-          }
-        }
-        transitions.fetch_add(extra, std::memory_order_relaxed);
-        if (aborted) break;
+      ws.route[ConcurrentStateStore::partition(fp) % nworkers_].push_back(c);
+      append_entry(0, ws.succ, ws.out, preempt_ ? &nps : nullptr);
+      if (sampled) charge(kMaterialize);
+      // This worker's candidates are distinct states, each claimed at or
+      // before its tag, so the budget runs out here at the latest.
+      if (states_before_ + ws.cands.size() >= opt_.max_states) {
+        ws.bound = ws.cands.back().tag;
+        lower_stop(gi);
+        return;
       }
     }
-
-    // Failure wins over the state limit: within a level the choice is
-    // inherently order-dependent, and reporting the violation is strictly
-    // more informative.
-    if (failed.load()) {
-      if (nworkers > 1) {
-        // Delegate to the deterministic single-worker engine for the
-        // canonical (and, with record_counterexample, byte-stable)
-        // counterexample; see the engine comment above.
-        McOptions seq = opt;
-        seq.threads = 1;
-        return run_bfs(proto, seq, oracle);
-      }
-      merge_worker_stats();
-      result.transitions = transitions.load();
-      result.states = states.load();
-      fill_store_stats(result, visited);
-      result.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      return finish_failure(proto, opt, std::move(result), failure_outcome,
-                            meta, failure_parent, failure_via);
-    }
-    if (limit_hit.load()) {
-      merge_worker_stats();
-      return finish(McVerdict::StateLimit);
-    }
-
-    if (visited.should_grow()) visited.grow();
-
-    // Swap the workers' batches in as the next frontier; the old frontier
-    // buffers become next level's write buffers (double buffering).
-    std::size_t next_entries = 0;
-    std::size_t next_bytes = 0;
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      std::swap(frontier[w], workers[w]->out);
-      next_entries += frontier[w].size();
-      next_bytes += frontier[w].bytes.size();
-    }
-    frontier_entries = next_entries;
-    result.peak_frontier = std::max(result.peak_frontier, next_entries);
-    result.frontier_bytes =
-        std::max(result.frontier_bytes, cur_bytes + next_bytes);
-    result.level_stats.push_back(
-        {total, states.load() - states_before,
-         std::chrono::duration<double>(std::chrono::steady_clock::now() - lt0)
-             .count()});
-    ++result.depth;
+    if (unproven) es.kind = EntryStat::kProviso;
   }
+}
 
-  merge_worker_stats();
-  return finish(McVerdict::Verified);
+void LevelBfs::resolve(std::size_t o) {
+  const auto start = Clock::now();
+  Worker& me = *workers_[o];
+  merge_by_tag(
+      nworkers_, stop_tag_, me.merge_pos,
+      [&](std::size_t w) { return workers_[w]->route[o].size(); },
+      [&](std::size_t w, std::size_t i) {
+        const Worker& src = *workers_[w];
+        return src.cands[src.route[o][i]].tag;
+      },
+      [&](std::size_t w, std::size_t i) {
+        Worker& src = *workers_[w];
+        const std::uint32_t c = src.route[o][i];
+        src.cands[c].fresh = visited_.insert(src.cand_key(c), src.cands[c].fp);
+        return true;
+      });
+  me.resolve_s += seconds_since(start);
+}
+
+const Candidate* LevelBfs::assign() {
+  const auto start = Clock::now();
+  const Candidate* limit = nullptr;
+  merge_by_tag(
+      nworkers_, stop_tag_, assign_pos_,
+      [&](std::size_t w) { return workers_[w]->cands.size(); },
+      [&](std::size_t w, std::size_t i) { return workers_[w]->cands[i].tag; },
+      [&](std::size_t w, std::size_t i) {
+        Worker& src = *workers_[w];
+        const Candidate& c = src.cands[i];
+        if (!c.fresh) return true;
+        const auto idx = static_cast<std::uint32_t>(meta_.size());
+        meta_.push(c.meta);
+        orbit_sum_ += c.orbit;
+        src.out.set_entry_index(i, idx);
+        next_order_.push_back(
+            {static_cast<std::uint32_t>(w), static_cast<std::uint32_t>(i)});
+        if (idx + 1 >= opt_.max_states) {
+          limit = &c;
+          return false;
+        }
+        return true;
+      });
+  assign_s_ += seconds_since(start);
+  return limit;
+}
+
+void LevelBfs::commit_entries(std::size_t end) {
+  for (std::size_t gi = 0; gi < end; ++gi) {
+    const EntryStat& es = entry_stats_[gi];
+    transitions_ += es.expanded;
+    pruned_ += es.pruned;
+    peak_live_ = std::max<std::size_t>(peak_live_, es.peak);
+    if (es.kind == EntryStat::kAmple) {
+      ++por_stats_.ample_states;
+      por_stats_.deferred_transitions += es.deferred;
+    } else if (es.kind == EntryStat::kFull) {
+      ++por_stats_.full_states;
+    }
+    // kProviso entries are counted by the fallback, which a stopped level
+    // never reaches.
+  }
+}
+
+void LevelBfs::commit_prefix(Tag tag, std::uint32_t expanded,
+                             std::uint32_t peak) {
+  transitions_ += expanded;
+  pruned_ += tag_index(tag) + 1 - expanded;
+  peak_live_ = std::max<std::size_t>(peak_live_, peak);
+}
+
+// In-engine ample cross-validation: re-establishes on live reachable
+// states what product_por_ok sampled from its walk.  Every ample member
+// must be a stutter (no descriptor symbols) and must commute with every
+// deferred transition through the whole product.
+bool LevelBfs::ample_check_ok(Worker& ws, std::string& detail) {
+  for (const std::uint32_t i : ws.ample_idx) {
+    chk_a_->assign_from(ws.cur);
+    if (chk_a_->step(ws.transitions[i], ws.symbols) == StepOutcome::Ok &&
+        !ws.symbols.empty()) {
+      detail = "ample member '" +
+               proto_.action_name(ws.transitions[i].action) +
+               "' emits descriptor symbols";
+      return false;
+    }
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < ws.transitions.size(); ++j) {
+      if (m < ws.ample_idx.size() && ws.ample_idx[m] == j) {
+        ++m;  // member-member pairs need no commutation argument
+        continue;
+      }
+      if (!independence_commutes(proto_, ws.canon, ws.cur, ws.transitions[i],
+                                 ws.transitions[j], *chk_a_, *chk_b_, ws.key,
+                                 chk_key_, chk_trans_, ws.symbols, detail)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Cross-validates every kPorSampleEvery-th reduced entry, counted in
+/// expansion order over the whole run, among the level's first `end`
+/// entries.
+bool LevelBfs::ample_samples_ok(std::size_t end) {
+  Worker& ws = *workers_[0];
+  for (std::size_t gi = 0; gi < end; ++gi) {
+    const auto kind = entry_stats_[gi].kind;
+    if (kind != EntryStat::kAmple && kind != EntryStat::kProviso) continue;
+    if (por_reduced_seen_++ % kPorSampleEvery != 0) continue;
+    load_entry(ws, gi);
+    const bool reduced = ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
+    SCV_ASSERT(reduced);  // selection is deterministic in the state bytes
+    std::string detail;
+    if (!ample_check_ok(ws, detail)) {
+      por_violation_ = std::move(detail);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Cycle-proviso (C3) fallback.  BFS assigns minimal depths, so any cycle in
+// the reduced graph has an edge whose target is no deeper than its source;
+// that edge shows up as an ample successor that was stored before this
+// level began.  Expansion flagged exactly those entries (kProviso): with
+// the store frozen during expansion, "stored" means "stored before this
+// level" at every thread count.  Each flagged entry now expands its
+// deferred complement too, in entry order, after the level's regular
+// states were numbered; the states it finds come last in the next frontier.
+LevelBfs::Halt LevelBfs::proviso_fallback() {
+  Worker& ws = *workers_[0];
+  for (std::size_t gi = 0; gi < total_; ++gi) {
+    if (entry_stats_[gi].kind != EntryStat::kProviso) continue;
+    ++por_stats_.proviso_fallbacks;
+    ++por_stats_.full_states;
+    load_entry(ws, gi);
+    const bool reduced = ws.ample.select(ws.cur, ws.transitions, ws.ample_idx);
+    SCV_ASSERT(reduced);  // selection is deterministic in the state bytes
+    ws.canon.begin_base();
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < ws.transitions.size(); ++j) {
+      if (m < ws.ample_idx.size() && ws.ample_idx[m] == j) {
+        ++m;
+        continue;
+      }
+      ++transitions_;
+      const Transition& t = ws.transitions[j];
+      ws.succ.assign_from(ws.cur);
+      const StepOutcome outcome = ws.succ.step(t, ws.symbols);
+      if (outcome != StepOutcome::Ok) {
+        failure_.outcome = outcome;
+        failure_.at = {ws.cur_idx, t};
+        return Halt::Failure;
+      }
+      const std::uint64_t orbit = ws.canon.canonicalize_key(
+          ws.succ, ws.key, nullptr, ws.succ.touched_procs());
+      const auto key = ws.key.w.data();
+      // Serial here, so inserting straight into the store is safe.
+      if (!visited_.insert(key, fingerprint128(key))) continue;
+      const auto idx = static_cast<std::uint32_t>(meta_.size());
+      meta_.push({ws.cur_idx, t});
+      orbit_sum_ += orbit;
+      append_entry(idx, ws.succ, ws.out);
+      next_order_.push_back({0, static_cast<std::uint32_t>(ws.out.size() - 1)});
+      if (idx + 1 >= opt_.max_states) return Halt::Limit;
+    }
+  }
+  return Halt::None;
+}
+
+void LevelBfs::end_level(Clock::time_point level_start) {
+  if (visited_.should_grow()) visited_.grow();
+  // The workers' batches become the next frontier; the old frontier
+  // buffers become next level's write buffers (double buffering).
+  std::size_t cur_bytes = 0;
+  std::size_t next_bytes = 0;
+  for (std::size_t w = 0; w < nworkers_; ++w) {
+    cur_bytes += frontier_[w].bytes.size();
+    std::swap(frontier_[w], workers_[w]->out);
+    next_bytes += frontier_[w].bytes.size();
+  }
+  order_.swap(next_order_);
+  result_.peak_frontier = std::max(result_.peak_frontier, order_.size());
+  result_.frontier_bytes =
+      std::max(result_.frontier_bytes, cur_bytes + next_bytes);
+  result_.level_stats.push_back(
+      {total_, meta_.size() - states_before_, seconds_since(level_start)});
+  ++result_.depth;
+}
+
+McResult LevelBfs::finish(McVerdict v) {
+  McResult& r = result_;
+  r.verdict = v;
+  r.states = meta_.size();
+  r.transitions = transitions_;
+  r.preemption_pruned = pruned_;
+  r.peak_live_nodes = peak_live_;
+  r.preemption_bounded = preempt_;
+  r.symmetry_active = symmetry_;
+  r.orbit_reduction = static_cast<double>(orbit_sum_) /
+                      static_cast<double>(meta_.size());
+  r.por_active = por_;
+  r.por_ample_states = por_stats_.ample_states;
+  r.por_full_states = por_stats_.full_states;
+  r.por_proviso_fallbacks = por_stats_.proviso_fallbacks;
+  r.por_deferred_transitions = por_stats_.deferred_transitions;
+  // Phase times: the sampled entries' phase shares split the workers' whole
+  // expansion time; the barrier phases are timed directly.
+  double expand_s = 0.0;
+  std::array<double, 4> sampled{};
+  for (const auto& ws : workers_) {
+    if (opt_.symbol_stats) r.symbol_stats.merge(ws->stats.stats());
+    r.dup_cache_hits += ws->cache_hits;
+    r.dup_cache_lookups += ws->cache_lookups;
+    expand_s += ws->expand_s;
+    for (std::size_t p = 0; p < sampled.size(); ++p) {
+      sampled[p] += ws->sampled[p];
+    }
+    r.phase_times.dedup += ws->resolve_s;
+  }
+  const double sampled_s = sampled[kExpand] + sampled[kCanonicalize] +
+                           sampled[kDedup] + sampled[kMaterialize];
+  const auto share = [&](Phase p) {
+    return sampled_s > 0 ? expand_s * sampled[p] / sampled_s : 0.0;
+  };
+  r.phase_times.expand = sampled_s > 0 ? share(kExpand) : expand_s;
+  r.phase_times.canonicalize = share(kCanonicalize);
+  r.phase_times.dedup += share(kDedup);
+  r.phase_times.materialize = share(kMaterialize) + assign_s_;
+  fill_store_stats(r, visited_);
+  r.seconds = seconds_since(t0_);
+  return std::move(r);
+}
+
+McResult run_bfs(const Protocol& proto, const McOptions& opt,
+                 const PorOracle& oracle) {
+  std::string por_violation;
+  {
+    LevelBfs bfs(proto, opt, oracle);
+    McResult result = bfs.run();
+    if (bfs.por_violation().empty()) return result;
+    por_violation = bfs.por_violation();
+  }
+  // A live ample set failed cross-validation: some independence or
+  // footprint declaration is wrong, so nothing explored under it can be
+  // trusted.  Redo the whole run with POR off — sound, just slower — and
+  // say why.  (The first attempt's store and frontier are released first.)
+  McOptions full = opt;
+  full.partial_order_reduction = false;
+  McResult redo = run_bfs(proto, full, oracle);
+  redo.por_note = "ample self-check failed at runtime (" + por_violation +
+                  "); explored without partial-order reduction";
+  return redo;
 }
 
 /// PorOracle backed by the verified static inference (DESIGN.md §15):

@@ -170,15 +170,20 @@ struct McLevelStat {
 };
 
 /// Where exploration time goes, summed across workers (CPU-seconds, so the
-/// phases can add up to more than McResult::seconds on multi-thread runs).
-/// The split answers the perf question symmetry reduction raises: how much
-/// of the per-transition budget the canonicalizer costs versus how much
-/// successor generation and frontier serialization it saves.
+/// phases can add up to more than McResult::seconds on multi-thread runs,
+/// never to more than threads × seconds).  The split answers the perf
+/// question symmetry reduction raises: how much of the per-transition
+/// budget the canonicalizer costs versus how much successor generation and
+/// frontier serialization it saves.  Within expansion it is sampled: one
+/// frontier entry in 16 is timed phase by phase, and those entries' phase
+/// shares split the workers' measured expansion time.  The level
+/// barrier's store inserts count as dedup, its state numbering as
+/// materialize.
 struct McPhaseTimes {
   double expand = 0.0;        ///< restore + enumerate + copy + step
   double canonicalize = 0.0;  ///< orbit canonicalization (signatures + key)
-  double dedup = 0.0;         ///< fingerprint + visited-store insert
-  double materialize = 0.0;   ///< meta + frontier serialization (fresh only)
+  double dedup = 0.0;         ///< fingerprint + visited-store probe/insert
+  double materialize = 0.0;   ///< candidates, serialization, numbering
 };
 
 struct McResult {
@@ -195,8 +200,7 @@ struct McResult {
   std::size_t store_bytes = 0;
   double store_load_factor = 0.0;  ///< occupancy of the visited-state store
   /// Peak bytes held by the serialized BFS frontier (both buffers of the
-  /// compact frontier in the parallel engine; Entry-object estimate in the
-  /// sequential one).
+  /// compact frontier).
   std::size_t frontier_bytes = 0;
   double seconds = 0.0;
   std::string reason;  ///< reject reason / error message

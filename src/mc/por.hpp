@@ -23,9 +23,9 @@
 //   C3 (cycle proviso) Handled by the engine, not the selector: BFS assigns
 //      minimal depths, so any cycle in the reduced graph contains an edge
 //      whose target depth is <= its source depth; the engine detects that
-//      edge (an ample successor already visited at the current or a
-//      shallower level) and re-expands its source in full.  See
-//      run_bfs's level-freshness set.
+//      edge (an ample successor stored before the current level began)
+//      and re-expands its source in full.  See LevelBfs::proviso_fallback
+//      in model_checker.cpp.
 //
 // Candidate sets are the (processor, block-mask) groups of invisible
 // singleton-processor footprints — e.g. the directory protocol's local

@@ -101,31 +101,38 @@ bool ConcurrentFingerprintSet::contains(Fingerprint fp) const noexcept {
 
 void ConcurrentFingerprintSet::grow() {
   for (Shard& sh : shards_) {
-#if !defined(NDEBUG)
-    SCV_ASSERT(sh.writers.load(std::memory_order_acquire) == 0);
-#endif
     // Only shards past the watermark double; a shard that tripped
     // TableFull sits at 7/8 and always qualifies.
-    if (!past_watermark(sh)) continue;
-    const std::size_t old_cap = sh.mask + 1;
-    auto old = std::move(sh.slots);
-    const std::size_t cap = old_cap * 2;
-    sh.slots = std::make_unique<Slot[]>(cap);
-    sh.mask = cap - 1;
-    sh.limit = cap - cap / 8;
-    // Quiescent by contract: plain (relaxed) stores suffice.
-    for (std::size_t j = 0; j < old_cap; ++j) {
-      const std::uint64_t h = old[j].hi.load(std::memory_order_relaxed);
-      if (h == 0) continue;
-      const std::uint64_t l = old[j].lo.load(std::memory_order_relaxed);
-      SCV_ASSERT(l != 0);  // every claim was published before the barrier
-      std::size_t i = h & sh.mask;
-      while (sh.slots[i].hi.load(std::memory_order_relaxed) != 0) {
-        i = (i + 1) & sh.mask;
-      }
-      sh.slots[i].hi.store(h, std::memory_order_relaxed);
-      sh.slots[i].lo.store(l, std::memory_order_relaxed);
+    if (past_watermark(sh)) double_shard(sh);
+  }
+}
+
+void ConcurrentFingerprintSet::grow_shard_of(Fingerprint fp) {
+  double_shard(shards_[shard_index(fp)]);
+}
+
+void ConcurrentFingerprintSet::double_shard(Shard& sh) {
+#if !defined(NDEBUG)
+  SCV_ASSERT(sh.writers.load(std::memory_order_acquire) == 0);
+#endif
+  const std::size_t old_cap = sh.mask + 1;
+  auto old = std::move(sh.slots);
+  const std::size_t cap = old_cap * 2;
+  sh.slots = std::make_unique<Slot[]>(cap);
+  sh.mask = cap - 1;
+  sh.limit = cap - cap / 8;
+  // Quiescent by contract: plain (relaxed) stores suffice.
+  for (std::size_t j = 0; j < old_cap; ++j) {
+    const std::uint64_t h = old[j].hi.load(std::memory_order_relaxed);
+    if (h == 0) continue;
+    const std::uint64_t l = old[j].lo.load(std::memory_order_relaxed);
+    SCV_ASSERT(l != 0);  // every claim was published before the barrier
+    std::size_t i = h & sh.mask;
+    while (sh.slots[i].hi.load(std::memory_order_relaxed) != 0) {
+      i = (i + 1) & sh.mask;
     }
+    sh.slots[i].hi.store(h, std::memory_order_relaxed);
+    sh.slots[i].lo.store(l, std::memory_order_relaxed);
   }
 }
 

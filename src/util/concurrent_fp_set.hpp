@@ -31,12 +31,15 @@
 // Capacity is fixed while concurrent inserts run.  A relaxed per-shard
 // reservation counter bounds occupancy at 7/8 of the shard so probe loops
 // always terminate; an insert that would cross the bound fails with
-// `TableFull` and the *caller* (the level-synchronized BFS) quiesces its
-// workers, calls grow() single-threaded between levels, and resumes.
-// grow() doubles exactly the shards past the 5/8 proactive-growth
+// `TableFull`, and the caller grows the table while no other thread uses
+// it: grow() doubles exactly the shards past the 5/8 proactive-growth
 // watermark (a shard that reported TableFull sits at 7/8 and always
-// qualifies), so a skewed load grows only where it must.  See DESIGN.md §9
-// for why resuming mid-level is safe.
+// qualifies), so a skewed load grows only where it must, and
+// grow_shard_of() doubles one shard for a caller that owns it.  The
+// level-synchronized BFS uses the shards as its unit of ownership: during
+// expansion every worker only reads the table, and at the level barrier
+// each shard is written by one worker, which grows it in place on
+// TableFull (DESIGN.md §9).
 //
 // In debug builds (!NDEBUG) each shard carries a writers-in-flight counter:
 // contains() and grow() assert it is zero, turning a violated quiescence
@@ -114,6 +117,17 @@ class ConcurrentFingerprintSet {
   /// calls it between levels).
   void grow();
 
+  static constexpr std::size_t kShards = 16;
+
+  /// The shard `fp` lives in, in [0, kShards).
+  [[nodiscard]] static std::size_t shard_index(Fingerprint fp) noexcept {
+    return shard_of(normalize(fp));
+  }
+
+  /// Doubles the shard `fp` lives in and rehashes it.  Requires that no
+  /// other thread touches that shard meanwhile (other shards may be in use).
+  void grow_shard_of(Fingerprint fp);
+
  private:
   struct Slot {
     std::atomic<std::uint64_t> hi{0};
@@ -135,7 +149,7 @@ class ConcurrentFingerprintSet {
 #endif
   };
 
-  static constexpr std::size_t kShards = 16;
+  static void double_shard(Shard& sh);
 
   /// Remaps zero lanes to 1 so 0 can serve as the empty/pending sentinel.
   [[nodiscard]] static Fingerprint normalize(Fingerprint fp) noexcept {

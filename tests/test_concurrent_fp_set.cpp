@@ -91,6 +91,34 @@ TEST(ConcurrentFpSet, TableFullThenGrowPreservesMembership) {
   EXPECT_EQ(set.insert(tripped), Insert::Fresh);
 }
 
+// The BFS grows one shard in place when its owner's insert trips the bound:
+// only that shard doubles, every member stays, and the rejected insert then
+// lands.
+TEST(ConcurrentFpSet, GrowShardOfDoublesOnlyThatShard) {
+  ConcurrentFingerprintSet set(0);  // minimum capacity
+  using Insert = ConcurrentFingerprintSet::Insert;
+  std::vector<Fingerprint> inserted;
+  Fingerprint tripped{};
+  for (std::uint64_t n = 0;; ++n) {
+    const Fingerprint fp = nth_fp(n);
+    const Insert r = set.insert(fp);
+    if (r == Insert::TableFull) {
+      tripped = fp;
+      break;
+    }
+    ASSERT_EQ(r, Insert::Fresh) << n;
+    inserted.push_back(fp);
+  }
+  const std::size_t old_cap = set.capacity();
+  const std::size_t shard_cap = old_cap / ConcurrentFingerprintSet::kShards;
+  set.grow_shard_of(tripped);
+  EXPECT_EQ(set.capacity(), old_cap + shard_cap);
+  for (const Fingerprint fp : inserted) EXPECT_TRUE(set.contains(fp));
+  EXPECT_EQ(set.insert(tripped), Insert::Fresh);
+  EXPECT_LT(ConcurrentFingerprintSet::shard_index(tripped),
+            ConcurrentFingerprintSet::kShards);
+}
+
 // The tentpole differential test: N threads hammer a shared key space where
 // every key is contended by several threads; a mutex-guarded
 // std::unordered_set oracle checks the final membership, and per-key atomic

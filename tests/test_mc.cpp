@@ -1,6 +1,9 @@
 // Tests for the model checker: verdicts on every protocol (the paper's
 // method end to end), counterexample validity, sequential/parallel
 // agreement, and resource-limit handling.
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/verifier.hpp"
@@ -246,8 +249,8 @@ TEST(Parallel, ViolationParityOnBuggyMsi) {
 }
 
 TEST(Parallel, GrowthUnderPressureMatchesSequential) {
-  // A deliberately tiny visited_size_hint forces the concurrent
-  // fingerprint table through many abort-grow-resume cycles mid-level
+  // A deliberately tiny visited_size_hint forces the fingerprint table's
+  // shards to double in place many times at the level barriers
   // (MsiBus(2,1,1) reaches ~39k states from the 1k-slot minimum table).
   // Full-exploration results must be identical to the organically grown
   // sequential store.
@@ -265,6 +268,43 @@ TEST(Parallel, GrowthUnderPressureMatchesSequential) {
   EXPECT_EQ(rp.transitions, rs.transitions);
   EXPECT_EQ(rp.peak_frontier, rs.peak_frontier);
   EXPECT_EQ(rp.peak_live_nodes, rs.peak_live_nodes);
+}
+
+TEST(Parallel, PreemptionPrunedIsExactAtEveryThreadCount) {
+  // Transitions cut by the preemption bound are counted per frontier entry
+  // and committed with that entry's transitions, so the count is a
+  // property of the explored graph: identical across thread counts,
+  // repeated runs, and a visited store that grows from its minimum size.
+  SerialMemory proto(2, 2, 2);
+  McOptions base;
+  base.observer.model = MemoryModel::bounded_sc(1);
+  std::vector<McOptions> runs;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    McOptions o = base;
+    o.threads = threads;
+    runs.push_back(o);
+  }
+  McOptions tiny = base;
+  tiny.threads = 2;
+  tiny.visited_size_hint = 1;
+  runs.push_back(tiny);
+  std::optional<McResult> ref;
+  for (const McOptions& o : runs) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const McResult r = verify_sc(proto, o);
+      if (!ref) {
+        ASSERT_EQ(r.verdict, McVerdict::Verified) << r.summary();
+        ASSERT_GT(r.preemption_pruned, 0u);
+        ref = r;
+        continue;
+      }
+      EXPECT_EQ(r.preemption_pruned, ref->preemption_pruned)
+          << o.threads << " threads, hint " << o.visited_size_hint
+          << ", run " << rep;
+      EXPECT_EQ(r.states, ref->states);
+      EXPECT_EQ(r.transitions, ref->transitions);
+    }
+  }
 }
 
 TEST(Parallel, ReportsLevelStatsAndFrontierBytes) {
